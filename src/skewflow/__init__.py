@@ -22,7 +22,6 @@ from .core import (
     check_cocycle_law,
     check_semiflow_law,
     dual_norm,
-    induced_norm,
     operator_norm,
     shift_cocycle,
     vec_norm,
@@ -75,7 +74,6 @@ __all__ = [
     "estimate_growth",
     "fit_exponential_decay",
     "fit_nonuniform_decay",
-    "induced_norm",
     "integrate_finite",
     "integrate_tail",
     "make_gauge",

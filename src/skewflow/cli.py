@@ -24,14 +24,13 @@ from datetime import datetime, timezone
 from . import gallery
 from .config import ConfigError, RunConfig, load_config_file, merge_config
 from .core import System, check_cocycle_law, check_semiflow_law
-from .errors import TimeOrderViolation
-from .errors import SkewflowError
+from .errors import SkewflowError, TimeOrderViolation
 from .gauges import make_gauge
 from .growth import estimate_growth, verify_growth
 from .nonuniform import run_nonuniform_panel
 from .probes import law_probes
 from .reports import FAIL, PASS, TAG_COMPATIBLE, UES
-from .uniform import test_datko
+from .uniform import UES_CRITERIA, test_datko
 
 SCHEMA_VERSION = "1"
 
@@ -218,12 +217,7 @@ def check_ground_truth(system: System, verdict, cfg: RunConfig) -> list:
     out = []
     by_id = {r.criterion_id: r for r in verdict.criteria}
     if tag == UES:
-        required = (
-            "fit-exp", "minorant", "half-decay", "half-decay-d",
-            "datko-v", "datko-op", "datko-d",
-            "barbashin-v", "barbashin-op", "barbashin-d", "decay-d",
-        )
-        for cid in required:
+        for cid in UES_CRITERIA:
             r = by_id.get(cid)
             if r is not None and r.verdict != PASS:
                 out.append(f"tag UES but {cid} returned {r.verdict}")

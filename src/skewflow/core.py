@@ -8,11 +8,10 @@ two-time-parameter families defined for ``t >= s >= 0`` and satisfy
     phi(t, s, phi(s, t0, x)) = phi(t, t0, x)
     Phi(t, s, phi(s, t0, x)) Phi(s, t0, x) = Phi(t, t0, x)
 
-All built-in systems expose their cocycle values as exponentials of
-closed-form scalars (``log_diag``), so trajectory-norm ratios are computed
-in log space and survive horizons where ``exp()`` would over- or underflow.
-Generic matrix-valued cocycles are supported through a plain ``matrix``
-attribute, at the cost of ordinary floating-point range.
+A cocycle is diagonal and provides ``log_diag(t, s, x)``, the logs of its
+entry magnitudes, as closed-form scalars.  Trajectory norms are computed
+from those logs, so ratios survive horizons where ``exp()`` would over- or
+underflow; that is the only evaluation path.
 """
 
 from __future__ import annotations
@@ -23,12 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    InvalidParams,
-    NonFinite,
-    TimeOrderViolation,
-)
+from .errors import InvalidParams, NonFinite, TimeOrderViolation
 
 SHIFT_PARAMETER = "shift-parameter"
 ABSTRACT_REAL = "abstract-real"
@@ -85,10 +79,6 @@ def vec_norm(v: Sequence[float], norm: str) -> float:
     raise InvalidParams(f"unknown norm {norm!r}")
 
 
-def dual_of(norm: str) -> str:
-    return _DUAL[norm]
-
-
 def dual_norm(v: Sequence[float], norm: str) -> float:
     """Norm of a functional, dual to the system's vector norm."""
     return vec_norm(v, _DUAL[norm])
@@ -117,7 +107,9 @@ class System:
     The "for all x, v" quantifiers of the flow laws are discharged over
     ``state_samples`` and ``vector_samples``; these finite sets are part of
     the system's contract.  ``vector_samples`` must be unit vectors in
-    ``norm_choice``; ``dual_samples`` unit in the dual norm.
+    ``norm_choice``; ``dual_samples`` unit in the dual norm.  The cocycle
+    is any object with a ``log_diag(t, s, x)`` method returning the logs of
+    its diagonal entries' magnitudes.
     """
 
     name: str
@@ -156,12 +148,9 @@ def evolve(system: System, t: float, s: float, x: StatePoint) -> StatePoint:
 def cocycle_matrix(system: System, t: float, s: float, x: StatePoint) -> np.ndarray:
     """Dense matrix value of the cocycle at (t, s, x)."""
     check_time_pair(t, s)
-    c = system.cocycle
-    if hasattr(c, "log_diag"):
-        g = np.asarray(c.log_diag(t, s, x), dtype=float)
-        with np.errstate(over="ignore"):
-            return np.diag(np.exp(g))
-    return np.asarray(c.matrix(t, s, x), dtype=float)
+    g = np.asarray(system.cocycle.log_diag(t, s, x), dtype=float)
+    with np.errstate(over="ignore"):
+        return np.diag(np.exp(g))
 
 
 def apply_cocycle(system: System, t: float, s: float, x: StatePoint, v) -> np.ndarray:
@@ -191,65 +180,6 @@ def apply_adjoint(system: System, t: float, s: float, x: StatePoint, vstar) -> n
 
 
 # ---------------------------------------------------------------------------
-# induced operator norms
-
-def induced_norm(a: np.ndarray, norm: str) -> float:
-    """Operator norm of a matrix induced by the given vector norm.
-
-    L1: max absolute column sum.  Linf: max absolute row sum.  L2: largest
-    singular value, by power iteration on A^T A (relative tolerance 1e-10).
-    """
-    a = np.asarray(a, dtype=float)
-    if norm == "L1":
-        return float(np.max(np.sum(np.abs(a), axis=0)))
-    if norm == "Linf":
-        return float(np.max(np.sum(np.abs(a), axis=1)))
-    if norm == "L2":
-        return _power_iteration_l2(a)
-    raise InvalidParams(f"unknown norm {norm!r}")
-
-
-def _power_iteration_l2(a: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 10000) -> float:
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale == 0.0:
-        return 0.0
-    b = (a / scale).T @ (a / scale)
-    n = b.shape[0]
-    # deterministic start with all components nonzero, slightly asymmetric
-    w = np.array([1.0 + 0.001 * i for i in range(n)])
-    w /= math.sqrt(float(w @ w))
-    prev = 0.0
-    for it in range(max_iter):
-        z = b @ w
-        nz = math.sqrt(float(z @ z))
-        if nz == 0.0:
-            return 0.0
-        w = z / nz
-        sigma = math.sqrt(float(w @ b @ w))
-        if it >= 2 and abs(sigma - prev) <= rel_tol * max(sigma, 1.0):
-            return sigma * scale
-        prev = sigma
-    raise ConvergenceFailure("power iteration did not converge")
-
-
-def operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
-    """Induced norm of Phi(t, s, x).
-
-    For diagonal cocycles the induced norm equals the largest entry
-    magnitude under all three norms, so the log-space value is used.
-    """
-    check_time_pair(t, s)
-    c = system.cocycle
-    if hasattr(c, "log_diag"):
-        g = max(c.log_diag(t, s, x))
-        try:
-            return math.exp(g)
-        except OverflowError:
-            raise NonFinite(f"operator norm overflowed at (t={t}, s={s})")
-    return induced_norm(cocycle_matrix(system, t, s, x), system.norm_choice)
-
-
-# ---------------------------------------------------------------------------
 # log-space trajectory norms (the workhorse of every ratio-based criterion)
 
 def _log_abs(c: float) -> float:
@@ -272,35 +202,33 @@ def _combine_logs(norm: str, terms) -> float:
 def log_vector_norm(system: System, t: float, s: float, x: StatePoint, v) -> float:
     """log ||Phi(t, s, x) v||, computed without forming huge or tiny exponentials."""
     check_time_pair(t, s)
-    c = system.cocycle
-    if hasattr(c, "log_diag"):
-        g = c.log_diag(t, s, x)
-        return _combine_logs(system.norm_choice, [gi + _log_abs(vi) for gi, vi in zip(g, v)])
-    w = cocycle_matrix(system, t, s, x) @ np.asarray(v, dtype=float)
-    n = vec_norm(w, system.norm_choice)
-    return math.log(n) if n > 0.0 else _NEG_INF
+    g = system.cocycle.log_diag(t, s, x)
+    return _combine_logs(system.norm_choice, [gi + _log_abs(vi) for gi, vi in zip(g, v)])
 
 
 def log_operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
+    """log of the induced norm of Phi(t, s, x).
+
+    For diagonal cocycles the induced norm equals the largest entry
+    magnitude under all three norms.
+    """
     check_time_pair(t, s)
-    c = system.cocycle
-    if hasattr(c, "log_diag"):
-        return max(c.log_diag(t, s, x))
-    n = induced_norm(cocycle_matrix(system, t, s, x), system.norm_choice)
-    return math.log(n) if n > 0.0 else _NEG_INF
+    return max(system.cocycle.log_diag(t, s, x))
+
+
+def operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
+    """Induced norm of Phi(t, s, x)."""
+    try:
+        return math.exp(log_operator_norm(system, t, s, x))
+    except OverflowError:
+        raise NonFinite(f"operator norm overflowed at (t={t}, s={s})")
 
 
 def log_adjoint_dual_norm(system: System, t: float, s: float, x: StatePoint, vstar) -> float:
     """log of the dual norm of Phi(t, s, x)^T applied to a functional."""
     check_time_pair(t, s)
-    c = system.cocycle
-    dual = _DUAL[system.norm_choice]
-    if hasattr(c, "log_diag"):
-        g = c.log_diag(t, s, x)
-        return _combine_logs(dual, [gi + _log_abs(wi) for gi, wi in zip(g, vstar)])
-    w = cocycle_matrix(system, t, s, x).T @ np.asarray(vstar, dtype=float)
-    n = vec_norm(w, dual)
-    return math.log(n) if n > 0.0 else _NEG_INF
+    g = system.cocycle.log_diag(t, s, x)
+    return _combine_logs(_DUAL[system.norm_choice], [gi + _log_abs(wi) for gi, wi in zip(g, vstar)])
 
 
 # ---------------------------------------------------------------------------
@@ -380,29 +308,15 @@ class _ShiftedDiagonalCocycle:
         return [g + off for g in self.base.log_diag(t, s, x)]
 
 
-class _ShiftedMatrixCocycle:
-    def __init__(self, base, alpha: float):
-        self.base = base
-        self.alpha = alpha
-
-    def matrix(self, t, s, x):
-        return math.exp(-self.alpha * (t - s)) * np.asarray(self.base.matrix(t, s, x), dtype=float)
-
-
 def shift_cocycle(system: System, alpha: float) -> System:
     """Exponentially reweighted system: Phi_alpha(t, s, x) = e^{-alpha (t-s)} Phi(t, s, x).
 
     Preserves both flow laws; the classification tag is cleared because the
     reweighting changes it.
     """
-    base = system.cocycle
-    if hasattr(base, "log_diag"):
-        shifted = _ShiftedDiagonalCocycle(base, alpha)
-    else:
-        shifted = _ShiftedMatrixCocycle(base, alpha)
     return replace(
         system,
         name=f"{system.name}#shift{alpha:+g}",
-        cocycle=shifted,
+        cocycle=_ShiftedDiagonalCocycle(system.cocycle, alpha),
         ground_truth=None,
     )

@@ -17,10 +17,6 @@ class NonFinite(SkewflowError):
     """
 
 
-class ConvergenceFailure(SkewflowError):
-    """An iterative kernel (power iteration) exceeded its iteration cap."""
-
-
 class BudgetExceeded(SkewflowError):
     """An integration routine hit its evaluation cap before reaching tolerance."""
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (
     ABSTRACT_REAL,
     SHIFT_PARAMETER,
@@ -464,41 +462,3 @@ def exponential_system(rate: float = -1.0, lag_max: float = 1024.0) -> System:
         "entries": [[{"kind": "linear", "coef": float(rate)}]],
         "lag_max": lag_max,
     })
-
-
-# ---------------------------------------------------------------------------
-# the function-space metric
-
-def hump_base(l: float = 2.0):
-    """The two-sided base function l + 1/(1+u^2) as a vectorized callable."""
-    def f(u):
-        return l + 1.0 / (1.0 + np.square(u))
-    f.limit = l
-    return f
-
-
-def function_space_distance(
-    x: StatePoint,
-    y: StatePoint,
-    n_terms: int = 20,
-    base=None,
-    grid_step: float = 0.01,
-) -> float:
-    """Truncated metric on the space of base-function translates.
-
-    Sum over n of 2^-n * d_n / (1 + d_n), where d_n is the sup distance of
-    the two translates over [-n, n], approximated on a grid.  Each term is
-    below 2^-n, so truncation after n_terms is accurate to 2^-n_terms.
-    """
-    if n_terms < 1:
-        raise InvalidParams("n_terms must be at least 1")
-    if base is None:
-        base = hump_base(2.0)
-    total = 0.0
-    for n in range(1, n_terms + 1):
-        grid = np.arange(-n, n + grid_step / 2.0, grid_step)
-        fx = np.full_like(grid, base.limit) if math.isinf(x.value) else base(x.value + grid)
-        fy = np.full_like(grid, base.limit) if math.isinf(y.value) else base(y.value + grid)
-        d_n = float(np.max(np.abs(fx - fy)))
-        total += 2.0 ** -n * d_n / (1.0 + d_n)
-    return total

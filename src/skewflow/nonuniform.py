@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import System, evolve, log_adjoint_dual_norm, log_operator_norm, log_vector_norm, vec_norm
-from .errors import BudgetExceeded, DegenerateProbe, NonFinite
+from .core import System, vec_norm
+from .errors import DegenerateProbe
 from .gauges import Gauge
-from .probes import RatioData, backward_pairs, discrete_pairs, ratio_data, tail_probes
-from .quadrature import integrate_finite, sum_tail
+from .probes import RatioData, ratio_data
 from .reports import (
     ES_NOT_UES,
     FAIL,
@@ -31,7 +30,16 @@ from .reports import (
     StabilityVerdict,
     witness_dict,
 )
-from .uniform import NU_LADDER, UniformPanel, _tail_with_retry, run_uniform_panel
+from .uniform import (
+    _DATKO_IDS,
+    NU_LADDER,
+    UniformPanel,
+    adjoint_witness,
+    backward_integrals,
+    divergence_witness,
+    forward_tails,
+    run_uniform_panel,
+)
 
 N_CAP_NONUNIFORM = 1e6
 
@@ -151,13 +159,6 @@ def test_decaying_majorant(
     )
 
 
-_DATKO_NU_IDS = {
-    ("vector", "continuous"): "datko-v-nu",
-    ("operator", "continuous"): "datko-op-nu",
-    ("vector", "discrete"): "datko-d-nu",
-}
-
-
 def test_datko_nonuniform(
     system: System, form: str, time: str, gauge: Gauge, alpha: float, config
 ) -> CriterionReport:
@@ -171,9 +172,8 @@ def test_datko_nonuniform(
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    cid = _DATKO_NU_IDS[(form, time)]
+    cid = _DATKO_IDS[(form, time)] + "-nu"
     cap = min(config.tmax, system.horizons.tail_cap)
-    tol = config.tol
     n_cap = config.ncap_nonuniform
     echo = {"gauge": gauge.describe(), "alpha": alpha, "t_max": cap, "n_cap": n_cap}
     literal_threshold = form == "operator"
@@ -184,21 +184,7 @@ def test_datko_nonuniform(
     worst = None
     sup_ratio = 0.0
     any_skipped = False
-    for t0, x, v in tail_probes(system):
-        if form == "vector":
-            def integrand(sigma, t0=t0, x=x, v=v):
-                ln = alpha * (sigma - t0) + log_vector_norm(system, sigma, t0, x, v)
-                return gauge(math.exp(ln))
-            denom = gauge(vec_norm(v, system.norm_choice))
-        else:
-            def integrand(sigma, t0=t0, x=x):
-                ln = alpha * (sigma - t0) + log_operator_norm(system, sigma, t0, x)
-                return gauge(math.exp(ln))
-            denom = 1.0
-        if time == "continuous":
-            result = _tail_with_retry(integrand, t0, tol, cap, config.eval_cap)
-        else:
-            result = sum_tail(lambda k: integrand(float(k)), int(math.floor(t0)), tol, int(cap))
+    for t0, x, v, result in forward_tails(system, form, time, gauge, config, alpha, first=0):
         if result is None:
             any_skipped = True
             continue
@@ -207,17 +193,15 @@ def test_datko_nonuniform(
                 cid,
                 FAIL,
                 {"per_t0": sorted(per_t0.items()), "divergence": True, "n_cap": n_cap},
-                witness=witness_dict(
-                    t0=t0, x=x, v=v, partial=result.value,
-                    truncation_horizon=result.truncation_horizon, converged=False,
-                ),
+                witness=divergence_witness(t0, x, v, result),
                 config_echo=echo,
             )
+        denom = gauge(vec_norm(v, system.norm_choice)) if form == "vector" else 1.0
         ratio = result.value / denom
         per_t0[t0] = max(per_t0.get(t0, 0.0), ratio)
         if ratio > sup_ratio:
             sup_ratio = ratio
-            worst = (t0, x, v, result)
+            worst = (t0, x, v)
 
     evidence = {"per_t0": sorted(per_t0.items()), "divergence": False, "n_cap": n_cap}
     if literal_threshold:
@@ -232,7 +216,7 @@ def test_datko_nonuniform(
             )
         return CriterionReport(cid, PASS, evidence, config_echo=echo)
     if worst is not None and sup_ratio > n_cap:
-        t0, x, v, result = worst
+        t0, x, v = worst
         return CriterionReport(
             cid, FAIL, evidence,
             witness=witness_dict(t0=t0, x=x, v=v, ratio=sup_ratio),
@@ -252,73 +236,26 @@ def test_barbashin_nonuniform(
         raise ValueError("the shift weight must be positive")
     cid = "barbashin-nu" if time == "continuous" else "barbashin-d-nu"
     n_cap = config.ncap_nonuniform
-    tol = config.tol
-    a = alpha_or_gamma
-    echo = {"gauge": gauge.describe(), "alpha": a, "n_cap": n_cap}
+    echo = {"gauge": gauge.describe(), "alpha": alpha_or_gamma, "n_cap": n_cap}
 
     per_t0: dict = {}
-    worst = None
-    sup_val = 0.0
     any_skipped = False
-
-    def fail_report(t, t0, x, vstar, val):
-        evidence = {"per_t0": sorted(per_t0.items()), "n_cap": n_cap, "early_exit": True}
-        return CriterionReport(
-            cid, FAIL, evidence,
-            witness=witness_dict(t=t, t0=t0, x=x, vstar=list(vstar), value=val),
-            config_echo=echo,
-        )
-
-    if time == "continuous":
-        for t, t0 in backward_pairs(system):
-            for x in system.state_samples:
-                for vstar in system.dual_samples:
-                    def integrand(s, t=t, t0=t0, x=x, vstar=vstar):
-                        y = evolve(system, s, t0, x)
-                        ln = a * (t - s) + log_adjoint_dual_norm(system, t, s, y, vstar)
-                        return gauge(math.exp(ln))
-                    try:
-                        r = integrate_finite(integrand, t0, t, tol, eval_cap=config.eval_cap)
-                    except (NonFinite, BudgetExceeded):
-                        any_skipped = True
-                        continue
-                    per_t0[t0] = max(per_t0.get(t0, 0.0), r.value)
-                    if r.value > n_cap:
-                        return fail_report(t, t0, x, vstar, r.value)
-                    if r.value > sup_val:
-                        sup_val = r.value
-                        worst = (t, t0, x, vstar, r.value)
-    else:
-        for n, n0 in discrete_pairs(system):
-            for x in system.state_samples:
-                for vstar in system.dual_samples:
-                    total = 0.0
-                    bad = False
-                    for k in range(n0, n + 1):
-                        y = evolve(system, float(k), float(n0), x)
-                        ln = a * (n - k) + log_adjoint_dual_norm(
-                            system, float(n), float(k), y, vstar
-                        )
-                        try:
-                            total += gauge(math.exp(ln))
-                        except (OverflowError, NonFinite):
-                            bad = True
-                            break
-                    if bad:
-                        any_skipped = True
-                        continue
-                    per_t0[float(n0)] = max(per_t0.get(float(n0), 0.0), total)
-                    if total > n_cap:
-                        return fail_report(n, n0, x, vstar, total)
-                    if total > sup_val:
-                        sup_val = total
-                        worst = (n, n0, x, vstar, total)
+    for t, t0, x, vstar, val in backward_integrals(system, time, gauge, config, alpha_or_gamma):
+        if val is None:
+            any_skipped = True
+            continue
+        per_t0[float(t0)] = max(per_t0.get(float(t0), 0.0), val)
+        if val > n_cap:
+            evidence = {"per_t0": sorted(per_t0.items()), "n_cap": n_cap, "early_exit": True}
+            return CriterionReport(
+                cid, FAIL, evidence, witness=adjoint_witness(t, t0, x, vstar, val), config_echo=echo
+            )
 
     evidence = {"per_t0": sorted(per_t0.items()), "n_cap": n_cap}
     if any_skipped:
         evidence["band"] = "overflow-limited probe"
         return CriterionReport(cid, INCONCLUSIVE, evidence, config_echo=echo)
-    if worst is None:
+    if not any(per_t0.values()):
         return CriterionReport(cid, INCONCLUSIVE, {"reason": "no probes"}, config_echo=echo)
     return CriterionReport(cid, PASS, evidence, config_echo=echo)
 
@@ -378,12 +315,9 @@ def run_nonuniform_panel(
         reports.append(_fit_nu_report(nfit, cap, echo))
     if want("majorant"):
         reports.append(test_decaying_majorant(system, data, echo=echo))
-    if want("datko-v-nu"):
-        reports.append(test_datko_nonuniform(system, "vector", "continuous", gauge, alpha, config))
-    if want("datko-op-nu"):
-        reports.append(test_datko_nonuniform(system, "operator", "continuous", gauge, alpha, config))
-    if want("datko-d-nu"):
-        reports.append(test_datko_nonuniform(system, "vector", "discrete", gauge, alpha, config))
+    for (form, time), cid in _DATKO_IDS.items():
+        if want(cid + "-nu"):
+            reports.append(test_datko_nonuniform(system, form, time, gauge, alpha, config))
     if want("barbashin-nu"):
         reports.append(test_barbashin_nonuniform(system, "continuous", gauge, alpha, config))
     if want("barbashin-d-nu"):

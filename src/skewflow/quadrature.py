@@ -25,15 +25,6 @@ class IntegralResult:
     evaluations: int
     truncation_horizon: float
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "abs_error_estimate": self.abs_error_estimate,
-            "converged": self.converged,
-            "evaluations": self.evaluations,
-            "truncation_horizon": self.truncation_horizon,
-        }
-
 
 class _Counter:
     __slots__ = ("f", "n", "cap")

@@ -15,8 +15,6 @@ STABLE_ONLY = "stable-only"
 UNSTABLE = "unstable"
 INCONCLUSIVE_VERDICT = "inconclusive"
 
-VERDICT_LABELS = (UES, US_NOT_UES, ES_NOT_UES, STABLE_ONLY, UNSTABLE, INCONCLUSIVE_VERDICT)
-
 # stable wire/CLI identifiers
 UNIFORM_CRITERIA = (
     "fit-exp", "unif-stab", "minorant", "half-decay", "half-decay-d",

@@ -9,6 +9,7 @@ divergence witnesses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -236,6 +237,10 @@ def test_half_decay(
 
 # ---------------------------------------------------------------------------
 # forward (tail) and backward (adjoint) integral criteria
+#
+# Both settings share one forward-tail and one backward-adjoint kernel.  The
+# nonuniform criteria weight every norm by e^{alpha (.)}; the uniform ones
+# pass alpha = 0, which leaves every value bit-identical to the plain norm.
 
 _DATKO_IDS = {
     ("vector", "continuous"): "datko-v",
@@ -247,24 +252,116 @@ _BARBASHIN_IDS = {
     ("vector-dual", "continuous"): "barbashin-v",
     ("operator-dual", "continuous"): "barbashin-op",
     ("operator-dual", "discrete"): "barbashin-d",
-    ("vector-dual", "discrete"): "barbashin-d",
 }
 
 
-def _tail_with_retry(integrand, a: float, tol: float, cap: float, eval_cap: int = 1_000_000):
-    """Integrate a tail, halving the horizon on overflow.
+def _with_halving(run, a: float, horizon: float):
+    """run(horizon), halving the horizon beyond a on overflow or an exhausted budget.
 
-    Overflow (or an exhausted evaluation budget) means the horizon was too
-    long for the integrand's range, so the divergence signal is recovered
-    at the largest finite horizon.
+    Either means the horizon was too long for the integrand's range, so the
+    divergence signal is recovered at the largest finite horizon.  None
+    when no horizon longer than 2 fits.
     """
-    horizon = cap
     while horizon > a + 2.0:
         try:
-            return integrate_tail(integrand, a, tol, horizon, eval_cap=eval_cap)
+            return run(horizon)
         except (NonFinite, BudgetExceeded):
             horizon = a + (horizon - a) / 2.0
     return None
+
+
+def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
+                  alpha: float = 0.0, first: int = 1):
+    """Forward tails of R(e^{alpha (s - t0)} ||Phi(s,t0,x)v||), one per tail probe.
+
+    Yields (t0, x, v, result) in probe order, where result is the
+    IntegralResult or None when no horizon fits the integrand's range.  The
+    operator form uses the induced norm, which does not depend on v, so it
+    keeps one probe per (t0, x).  Continuous tails run from t0 to the
+    horizon cap; discrete sums run over n >= floor(t0) + first, with as many
+    terms as the cap.
+    """
+    cap = min(config.tmax, system.horizons.tail_cap)
+    lead = system.vector_samples[0]
+
+    def weight(t0, x, v, sigma):
+        if form == "vector":
+            ln = log_vector_norm(system, sigma, t0, x, v)
+        else:
+            ln = log_operator_norm(system, sigma, t0, x)
+        return gauge(math.exp(alpha * (sigma - t0) + ln))
+
+    for t0, x, v in tail_probes(system):
+        if form == "operator" and v is not lead:
+            continue
+        integrand = functools.partial(weight, t0, x, v)
+        if time == "continuous":
+            result = _with_halving(
+                lambda h: integrate_tail(integrand, t0, config.tol, h, eval_cap=config.eval_cap),
+                t0, cap,
+            )
+        else:
+            n0 = math.floor(t0) + first
+            result = _with_halving(
+                lambda h: sum_tail(lambda k: integrand(float(k)), n0, config.tol, int(h - n0)),
+                n0, n0 + int(cap),
+            )
+        yield t0, x, v, result
+
+
+def backward_integrals(system: System, time: str, gauge: Gauge, config,
+                       alpha: float = 0.0, operator: bool = False):
+    """Integrals of R(e^{alpha (t - s)} ||Phi(t,s,phi(s,t0,x))* v*||) over s in [t0, t].
+
+    Yields (t, t0, x, vstar, value) in probe order, where value is None when
+    the integral overflowed or ran out of budget.  Discrete time sums over
+    the integers s = t0, ..., t instead.  With ``operator`` the induced norm
+    of Phi(t,s,phi(s,t0,x)) replaces the dual vector norm, with one probe
+    per (t, t0, x) and vstar None.
+    """
+    duals = (None,) if operator else system.dual_samples
+
+    def weight(t, t0, x, vstar, s):
+        y = evolve(system, s, t0, x)
+        if vstar is None:
+            ln = log_operator_norm(system, t, s, y)
+        else:
+            ln = log_adjoint_dual_norm(system, t, s, y, vstar)
+        return gauge(math.exp(alpha * (t - s) + ln))
+
+    pairs = backward_pairs(system) if time == "continuous" else discrete_pairs(system)
+    for t, t0 in pairs:
+        for x in system.state_samples:
+            for vstar in duals:
+                integrand = functools.partial(weight, float(t), float(t0), x, vstar)
+                try:
+                    if time == "continuous":
+                        value = integrate_finite(
+                            integrand, t0, t, config.tol, eval_cap=config.eval_cap
+                        ).value
+                    else:
+                        value = 0.0
+                        for k in range(t0, t + 1):
+                            value += integrand(float(k))
+                except (NonFinite, BudgetExceeded, OverflowError):
+                    value = None
+                yield t, t0, x, vstar, value
+
+
+def divergence_witness(t0, x, v, result) -> dict:
+    """Witness of a forward tail that did not settle before its horizon."""
+    return witness_dict(
+        t0=t0, x=x, v=v, partial=result.value,
+        truncation_horizon=result.truncation_horizon, converged=False,
+    )
+
+
+def adjoint_witness(t, t0, x, vstar, value) -> dict:
+    """Witness of a backward integral above its bound."""
+    w = witness_dict(t=t, t0=t0, x=x, value=value)
+    if vstar is not None:
+        w["vstar"] = list(vstar)
+    return w
 
 
 def test_datko(system: System, form: str, time: str, gauge: Gauge, config) -> CriterionReport:
@@ -278,57 +375,28 @@ def test_datko(system: System, form: str, time: str, gauge: Gauge, config) -> Cr
     """
     cid = _DATKO_IDS[(form, time)]
     n_cap = config.ncap
-    tol = config.tol
     cap = min(config.tmax, system.horizons.tail_cap)
-    echo = {"gauge": gauge.describe(), "t_max": cap, "n_cap": n_cap, "tol": tol}
-
-    probes = tail_probes(system)
-    if form == "operator":
-        # the induced norm does not depend on v; keep one probe per (t0, x)
-        lead = system.vector_samples[0]
-        probes = [(t0, x, v) for t0, x, v in probes if v is lead]
+    echo = {"gauge": gauge.describe(), "t_max": cap, "n_cap": n_cap, "tol": config.tol}
 
     sup_ratio = 0.0
     worst = None
     any_inconclusive = False
     per_t0: dict = {}
-    for t0, x, v in probes:
-        if form == "vector":
-            def integrand(sigma, t0=t0, x=x, v=v):
-                return gauge(math.exp(log_vector_norm(system, sigma, t0, x, v)))
-            denom = gauge(vec_norm(v, system.norm_choice))
-        else:
-            def integrand(sigma, t0=t0, x=x):
-                return gauge(math.exp(log_operator_norm(system, sigma, t0, x)))
-            denom = gauge(1.0)
+    for t0, x, v, result in forward_tails(system, form, time, gauge, config):
+        denom = gauge(vec_norm(v, system.norm_choice) if form == "vector" else 1.0)
         if denom == 0.0:
             raise DegenerateProbe("gauge vanished on a unit probe vector")
-        if time == "continuous":
-            result = _tail_with_retry(integrand, t0, tol, cap, config.eval_cap)
-        else:
-            result = sum_tail(lambda k: integrand(float(k)), int(math.floor(t0)) + 1, tol, int(cap))
         if result is None:
             any_inconclusive = True
             continue
         ratio = result.value / denom
         per_t0[t0] = max(per_t0.get(t0, 0.0), ratio)
         if not result.converged:
-            report = CriterionReport(
-                cid,
-                FAIL,
-                {
-                    "sup_ratio": ratio,
-                    "n_cap": n_cap,
-                    "per_t0": sorted(per_t0.items()),
-                    "divergence": True,
-                },
-                witness=witness_dict(
-                    t0=t0, x=x, v=v, partial=result.value,
-                    truncation_horizon=result.truncation_horizon, converged=False,
-                ),
-                config_echo=echo,
+            evidence = {"sup_ratio": ratio, "n_cap": n_cap, "per_t0": sorted(per_t0.items()),
+                        "divergence": True}
+            return CriterionReport(
+                cid, FAIL, evidence, witness=divergence_witness(t0, x, v, result), config_echo=echo
             )
-            return report
         if ratio > sup_ratio:
             sup_ratio = ratio
             worst = (t0, x, v, result)
@@ -360,71 +428,40 @@ def test_barbashin(
     """Backward adjoint test: gauged dual-trajectory integrals stay bounded.
 
     vector-dual: integral over [t0, t] of R(||Phi(t,s,phi(s,t0,x))* v*||)
-    against R(N_cap ||v*||).  operator-dual / discrete: plain constant cap.
-    The report records which hypothesis (uniform stability or growth) was
-    established before running, since the two variants of this test differ
-    only there.
+    against R(N_cap ||v*||).  operator-dual: the same integral against the
+    plain constant cap; its discrete sums use the induced norm.  The report
+    records which hypothesis (uniform stability or growth) was established
+    before running, since the two variants of this test differ only there.
     """
     cid = _BARBASHIN_IDS[(form, time)]
     n_cap = config.ncap
-    tol = config.tol
-    echo = {"gauge": gauge.describe(), "n_cap": n_cap, "hypothesis": hypothesis, "tol": tol}
+    echo = {"gauge": gauge.describe(), "n_cap": n_cap, "hypothesis": hypothesis, "tol": config.tol}
 
     sup_val = 0.0
-    worst = None
+    sup_bound = None
     any_skipped = False
+    for t, t0, x, vstar, val in backward_integrals(
+        system, time, gauge, config, operator=time == "discrete"
+    ):
+        if val is None:
+            any_skipped = True
+            continue
+        if form == "vector-dual":
+            bound = gauge(n_cap * dual_norm(vstar, system.norm_choice))
+        else:
+            bound = n_cap
+        if val > bound:
+            evidence = {"sup_integral": val, "bound": bound, "overflow_skipped": any_skipped,
+                        "early_exit": True}
+            return CriterionReport(
+                cid, FAIL, evidence, witness=adjoint_witness(t, t0, x, vstar, val), config_echo=echo
+            )
+        if sup_bound is None or val > sup_val:
+            sup_val, sup_bound = val, bound
 
-    def fail_report(t, t0, x, vstar, val, bound):
-        evidence = {"sup_integral": val, "bound": bound, "overflow_skipped": any_skipped,
-                    "early_exit": True}
-        w = witness_dict(t=t, t0=t0, x=x, value=val)
-        if vstar is not None:
-            w["vstar"] = list(vstar)
-        return CriterionReport(cid, FAIL, evidence, witness=w, config_echo=echo)
-
-    if time == "continuous":
-        for t, t0 in backward_pairs(system):
-            for x in system.state_samples:
-                for vstar in system.dual_samples:
-                    def integrand(s, t=t, t0=t0, x=x, vstar=vstar):
-                        y = evolve(system, s, t0, x)
-                        return gauge(math.exp(log_adjoint_dual_norm(system, t, s, y, vstar)))
-                    try:
-                        r = integrate_finite(integrand, t0, t, tol, eval_cap=config.eval_cap)
-                    except (NonFinite, BudgetExceeded):
-                        any_skipped = True
-                        continue
-                    if form == "vector-dual":
-                        bound = gauge(n_cap * dual_norm(vstar, system.norm_choice))
-                    else:
-                        bound = n_cap
-                    if r.value > bound:
-                        return fail_report(t, t0, x, vstar, r.value, bound)
-                    if worst is None or r.value > sup_val:
-                        sup_val = r.value
-                        worst = (t, t0, x, vstar, r.value, bound)
-    else:
-        for n, n0 in discrete_pairs(system):
-            for x in system.state_samples:
-                total = 0.0
-                try:
-                    for k in range(n0, n + 1):
-                        total += gauge(math.exp(log_operator_norm(system, float(n), float(k), x)))
-                except (NonFinite, OverflowError):
-                    any_skipped = True
-                    continue
-                if total > n_cap:
-                    return fail_report(n, n0, x, None, total, n_cap)
-                if worst is None or total > sup_val:
-                    sup_val = total
-                    worst = (n, n0, x, None, total, n_cap)
-
-    if worst is None:
-        return CriterionReport(
-            cid, INCONCLUSIVE, {"reason": "no finite probes"}, config_echo=echo
-        )
-    bound = worst[5]
-    evidence = {"sup_integral": sup_val, "bound": bound, "overflow_skipped": any_skipped}
+    if sup_bound is None:
+        return CriterionReport(cid, INCONCLUSIVE, {"reason": "no finite probes"}, config_echo=echo)
+    evidence = {"sup_integral": sup_val, "bound": sup_bound, "overflow_skipped": any_skipped}
     return CriterionReport(cid, PASS, evidence, config_echo=echo)
 
 
@@ -469,7 +506,8 @@ class UniformPanel:
         return None
 
 
-_UES_CRITERIA = (
+# criteria whose fail witness rules out UES; a UES tag requires each to pass
+UES_CRITERIA = (
     "fit-exp", "minorant", "half-decay", "half-decay-d",
     "datko-v", "datko-op", "datko-d",
     "barbashin-v", "barbashin-op", "barbashin-d", "decay-d",
@@ -529,8 +567,7 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
                 reports.append(
                     CriterionReport(cid, INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo)
                 )
-    for form, time in (("vector", "continuous"), ("operator", "continuous"), ("vector", "discrete")):
-        cid = _DATKO_IDS[(form, time)]
+    for (form, time), cid in _DATKO_IDS.items():
         if want(cid):
             reports.append(test_datko(system, form, time, gauge, config))
     stab = next((r for r in reports if r.criterion_id == "unif-stab"), None)
@@ -540,12 +577,7 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
         hypothesis = "uniform-growth"
     else:
         hypothesis = "none"
-    for form, time in (
-        ("vector-dual", "continuous"),
-        ("operator-dual", "continuous"),
-        ("operator-dual", "discrete"),
-    ):
-        cid = _BARBASHIN_IDS[(form, time)]
+    for (form, time), cid in _BARBASHIN_IDS.items():
         if want(cid):
             reports.append(test_barbashin(system, form, time, gauge, config, hypothesis))
     if want("decay-d"):
@@ -561,7 +593,7 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
     if selected is not None:
         return UniformPanel("inconclusive", reports, env, fit, discrepancies)
 
-    fails = [cid for cid in _UES_CRITERIA if cid in by_id and by_id[cid].verdict == FAIL]
+    fails = [cid for cid in UES_CRITERIA if cid in by_id and by_id[cid].verdict == FAIL]
     fit_ok = by_id["fit-exp"].verdict == PASS
     stab_ok = by_id["unif-stab"].verdict == PASS
 

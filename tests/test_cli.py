@@ -187,6 +187,16 @@ class TestSweep:
         nus = [float(r["nu"]) for r in rows]
         assert nus == sorted(nus)
 
+    def test_discrete_tail_overflow_retries_at_halved_horizon(self, tmp_path):
+        # datko-d's series overflows at n=88; the halved horizon still shows divergence
+        out = tmp_path / "sweep.csv"
+        code, _ = run_cli(
+            ["sweep", "--system", "shift-metric-demo", "--sweep", "rate=-4", "--out", str(out)]
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["verdict"] for r in rows] == ["unstable"]
+
     def test_oversized_sweep_rejected(self):
         code, _ = run_cli(
             ["sweep", "--system", "diag3", "--sweep", "alpha1=" + ",".join(["1"] * 40),

@@ -1,15 +1,13 @@
-"""Gallery systems: formulas, bounds, the function-space metric."""
+"""Gallery systems: formulas, bounds, tags, the declarative family."""
 
 import math
 import random
 
-import numpy as np
 import pytest
 
 from skewflow import gallery
 from skewflow.core import SHIFT_PARAMETER, StatePoint, apply_cocycle, operator_norm
 from skewflow.errors import InvalidParams
-from skewflow.gallery import function_space_distance, hump_base
 from skewflow.quadrature import integrate_finite
 
 
@@ -129,59 +127,3 @@ def test_custom_declarative_family():
         gallery.build_custom({"entries": [[{"kind": "wat", "coef": 1.0}]]})
     with pytest.raises(InvalidParams):
         gallery.build_custom({"entries": []})
-
-
-class TestFunctionSpaceMetric:
-    def test_identity(self):
-        x = StatePoint(SHIFT_PARAMETER, 1.0)
-        assert function_space_distance(x, x) == 0.0
-
-    def test_bounded_below_one(self):
-        a = StatePoint(SHIFT_PARAMETER, 0.0)
-        b = StatePoint(SHIFT_PARAMETER, 500.0)
-        assert 0.0 < function_space_distance(a, b) < 1.0
-
-    def test_against_finer_grid_oracle(self):
-        a = StatePoint(SHIFT_PARAMETER, 0.0)
-        b = StatePoint(SHIFT_PARAMETER, 10.0)
-        coarse = function_space_distance(a, b, n_terms=20, grid_step=0.01)
-        fine = function_space_distance(a, b, n_terms=20, grid_step=0.001)
-        # grid-sup maxima sit between grid points, so agreement is
-        # limited by the slope at the near-flat maximum
-        assert coarse == pytest.approx(fine, abs=1e-5)
-
-    def test_closure_point(self):
-        inf_state = StatePoint(SHIFT_PARAMETER, math.inf)
-        far = StatePoint(SHIFT_PARAMETER, 200.0)
-        near = StatePoint(SHIFT_PARAMETER, 0.0)
-        assert function_space_distance(inf_state, far) < function_space_distance(inf_state, near)
-
-    def test_symmetry_and_triangle(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            pts = [StatePoint(SHIFT_PARAMETER, rng.uniform(-5, 5)) for _ in range(3)]
-            dab = function_space_distance(pts[0], pts[1], n_terms=8)
-            dba = function_space_distance(pts[1], pts[0], n_terms=8)
-            dbc = function_space_distance(pts[1], pts[2], n_terms=8)
-            dac = function_space_distance(pts[0], pts[2], n_terms=8)
-            assert abs(dab - dba) <= 1e-12
-            assert dac <= dab + dbc + 1e-12
-
-    def test_truncation_error_bound(self):
-        a = StatePoint(SHIFT_PARAMETER, 0.0)
-        b = StatePoint(SHIFT_PARAMETER, 3.0)
-        d10 = function_space_distance(a, b, n_terms=10)
-        d20 = function_space_distance(a, b, n_terms=20)
-        assert abs(d20 - d10) <= 2.0 ** -10
-
-
-def test_hump_base_shape():
-    f = hump_base(2.0)
-    u = np.linspace(-50, 50, 2001)
-    vals = f(u)
-    assert np.all(vals > 2.0)
-    left = vals[u < 0]
-    right = vals[u > 0]
-    assert np.all(np.diff(left) >= 0)
-    assert np.all(np.diff(right) <= 0)
-    assert f(np.array([1e8]))[0] == pytest.approx(2.0, abs=1e-8)

@@ -5,11 +5,11 @@ import math
 import pytest
 
 from skewflow import gallery
-from skewflow.core import shift_cocycle
+from skewflow.core import operator_norm, shift_cocycle
 from skewflow.errors import MissingGrowthEnvelope
 from skewflow.gauges import make_gauge
 from skewflow.growth import estimate_growth
-from skewflow.probes import ratio_data
+from skewflow.probes import discrete_pairs, ratio_data
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
 from skewflow.uniform import (
     fit_exponential_decay,
@@ -199,6 +199,20 @@ class TestBarbashin:
         r = barbashin_check(systems["scalar_decay"], "operator-dual", "discrete", IDENTITY, config, "uniform-stability")
         assert r.verdict == PASS
         assert r.evidence["sup_integral"] <= config.ncap
+
+    def test_discrete_sum_reads_the_evolved_state(self, systems, config):
+        # sum over k = n0..n of ||Phi(n, k, phi(k, n0, x))||, maximised over the probes
+        s = systems["scalar_decay"]
+        direct = max(
+            sum(
+                operator_norm(s, float(n), float(k), s.semiflow(float(k), float(n0), x))
+                for k in range(n0, n + 1)
+            )
+            for n, n0 in discrete_pairs(s)
+            for x in s.state_samples
+        )
+        r = barbashin_check(s, "operator-dual", "discrete", IDENTITY, config, "uniform-stability")
+        assert r.evidence["sup_integral"] == pytest.approx(direct, rel=1e-12)
 
     def test_growing_system_fails(self, config):
         s = gallery.exponential_system(1.0)
