@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -67,15 +68,24 @@ def merge_config(file_doc: dict | None, flag_values: dict) -> RunConfig:
         for key, value in source.items():
             if value is None:
                 continue
-            if key in _FLOAT_FIELDS:
-                value = float(value)
-            elif key in ("seed", "eval_cap"):
-                value = int(value)
+            try:
+                if key in _FLOAT_FIELDS:
+                    value = float(value)
+                elif key in ("seed", "eval_cap"):
+                    value = int(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
             setattr(cfg, key, value)
-    if cfg.tol <= 0:
-        raise ConfigError("tol must be positive")
+    for key in sorted(_FLOAT_FIELDS):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite")
+    for key in ("tol", "grid_h", "grid_step", "tmax"):
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be positive")
     if cfg.ncap <= 0 or cfg.ncap_nonuniform <= 0:
         raise ConfigError("caps must be positive")
+    if cfg.delta_max < 2:
+        raise ConfigError("delta_max must be at least 2")
     if cfg.format not in ("json", "csv"):
         raise ConfigError(f"unknown format {cfg.format!r}")
     return cfg

@@ -33,6 +33,7 @@ from .reports import (
 from .uniform import (
     _DATKO_IDS,
     NU_LADDER,
+    Skipped,
     UniformPanel,
     adjoint_witness,
     backward_integrals,
@@ -183,10 +184,10 @@ def test_datko_nonuniform(
     per_t0: dict = {}
     worst = None
     sup_ratio = 0.0
-    any_skipped = False
+    skipped = None
     for t0, x, v, result in forward_tails(system, form, time, gauge, config, alpha, first=0):
-        if result is None:
-            any_skipped = True
+        if isinstance(result, Skipped):
+            skipped = skipped or result
             continue
         if not result.converged:
             return CriterionReport(
@@ -214,16 +215,15 @@ def test_datko_nonuniform(
                 witness=witness_dict(t0=t0, ratio=bad[0][1], threshold=gauge(t0)),
                 config_echo=echo,
             )
-        return CriterionReport(cid, PASS, evidence, config_echo=echo)
-    if worst is not None and sup_ratio > n_cap:
+    elif worst is not None and sup_ratio > n_cap:
         t0, x, v = worst
         return CriterionReport(
             cid, FAIL, evidence,
             witness=witness_dict(t0=t0, x=x, v=v, ratio=sup_ratio),
             config_echo=echo,
         )
-    if any_skipped:
-        evidence["band"] = "overflow-limited probe"
+    if skipped is not None:
+        evidence["band"] = skipped.band
         return CriterionReport(cid, INCONCLUSIVE, evidence, config_echo=echo)
     return CriterionReport(cid, PASS, evidence, config_echo=echo)
 
@@ -239,10 +239,10 @@ def test_barbashin_nonuniform(
     echo = {"gauge": gauge.describe(), "alpha": alpha_or_gamma, "n_cap": n_cap}
 
     per_t0: dict = {}
-    any_skipped = False
+    skipped = None
     for t, t0, x, vstar, val in backward_integrals(system, time, gauge, config, alpha_or_gamma):
-        if val is None:
-            any_skipped = True
+        if isinstance(val, Skipped):
+            skipped = skipped or val
             continue
         per_t0[float(t0)] = max(per_t0.get(float(t0), 0.0), val)
         if val > n_cap:
@@ -252,8 +252,8 @@ def test_barbashin_nonuniform(
             )
 
     evidence = {"per_t0": sorted(per_t0.items()), "n_cap": n_cap}
-    if any_skipped:
-        evidence["band"] = "overflow-limited probe"
+    if skipped is not None:
+        evidence["band"] = skipped.band
         return CriterionReport(cid, INCONCLUSIVE, evidence, config_echo=echo)
     if not any(per_t0.values()):
         return CriterionReport(cid, INCONCLUSIVE, {"reason": "no probes"}, config_echo=echo)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 from .core import (
@@ -255,19 +256,62 @@ _BARBASHIN_IDS = {
 }
 
 
+@dataclass(frozen=True)
+class Skipped:
+    """A probe whose integral has no value, and why: overflow, budget or horizon."""
+
+    cause: str
+
+    @classmethod
+    def after(cls, exc: Exception) -> Skipped:
+        return cls("budget" if isinstance(exc, BudgetExceeded) else "overflow")
+
+    @property
+    def band(self) -> str:
+        return f"{self.cause}-limited probe"
+
+
 def _with_halving(run, a: float, horizon: float):
     """run(horizon), halving the horizon beyond a on overflow or an exhausted budget.
 
     Either means the horizon was too long for the integrand's range, so the
-    divergence signal is recovered at the largest finite horizon.  None
-    when no horizon longer than 2 fits.
+    divergence signal is recovered at the largest finite horizon.  Skipped
+    when no horizon longer than 2 fits, naming the last failure (or the
+    horizon itself when none was tried).
     """
+    skipped = Skipped("horizon")
     while horizon > a + 2.0:
         try:
             return run(horizon)
-        except (NonFinite, BudgetExceeded):
+        except (NonFinite, BudgetExceeded) as exc:
+            skipped = Skipped.after(exc)
             horizon = a + (horizon - a) / 2.0
-    return None
+    return skipped
+
+
+# Integral results of each live system, keyed by everything the integrand and
+# the quadrature read; a system's entry is dropped when the system dies.
+_MEMOS: dict = {}
+
+
+def _memo(system: System) -> dict:
+    memo = _MEMOS.get(id(system))
+    if memo is None:
+        memo = _MEMOS[id(system)] = {}
+        weakref.finalize(system, _MEMOS.pop, id(system), None)
+    return memo
+
+
+def _norm_class(w):
+    """What a log norm reads of a probe vector: its |w_i|, or None for the induced norm.
+
+    A scalar unit vector leaves its single log term unchanged, which is
+    exactly the induced norm, so it shares the operator form's class.
+    """
+    if w is None:
+        return None
+    cls = tuple(abs(c) for c in w)
+    return None if cls == (1.0,) else cls
 
 
 def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
@@ -275,14 +319,17 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
     """Forward tails of R(e^{alpha (s - t0)} ||Phi(s,t0,x)v||), one per tail probe.
 
     Yields (t0, x, v, result) in probe order, where result is the
-    IntegralResult or None when no horizon fits the integrand's range.  The
-    operator form uses the induced norm, which does not depend on v, so it
-    keeps one probe per (t0, x).  Continuous tails run from t0 to the
+    IntegralResult, or Skipped when no horizon fits the integrand's range.
+    The operator form uses the induced norm, which does not depend on v, so
+    it keeps one probe per (t0, x).  Continuous tails run from t0 to the
     horizon cap; discrete sums run over n >= floor(t0) + first, with as many
-    terms as the cap.
+    terms as the cap.  Each distinct tail is computed once per system.
     """
     cap = min(config.tmax, system.horizons.tail_cap)
     lead = system.vector_samples[0]
+    memo = _memo(system).setdefault(
+        ("tail", time, gauge, alpha, first if time == "discrete" else None,
+         cap, config.tol, config.eval_cap), {})
 
     def weight(t0, x, v, sigma):
         if form == "vector":
@@ -291,21 +338,26 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
             ln = log_operator_norm(system, sigma, t0, x)
         return gauge(math.exp(alpha * (sigma - t0) + ln))
 
-    for t0, x, v in tail_probes(system):
-        if form == "operator" and v is not lead:
-            continue
+    def tail(t0, x, v):
         integrand = functools.partial(weight, t0, x, v)
         if time == "continuous":
-            result = _with_halving(
+            return _with_halving(
                 lambda h: integrate_tail(integrand, t0, config.tol, h, eval_cap=config.eval_cap),
                 t0, cap,
             )
-        else:
-            n0 = math.floor(t0) + first
-            result = _with_halving(
-                lambda h: sum_tail(lambda k: integrand(float(k)), n0, config.tol, int(h - n0)),
-                n0, n0 + int(cap),
-            )
+        n0 = math.floor(t0) + first
+        return _with_halving(
+            lambda h: sum_tail(lambda k: integrand(float(k)), n0, config.tol, int(h - n0)),
+            n0, n0 + int(cap),
+        )
+
+    for t0, x, v in tail_probes(system):
+        if form == "operator" and v is not lead:
+            continue
+        key = (t0, x, _norm_class(v if form == "vector" else None))
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = tail(t0, x, v)
         yield t0, x, v, result
 
 
@@ -313,13 +365,16 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
                        alpha: float = 0.0, operator: bool = False):
     """Integrals of R(e^{alpha (t - s)} ||Phi(t,s,phi(s,t0,x))* v*||) over s in [t0, t].
 
-    Yields (t, t0, x, vstar, value) in probe order, where value is None when
-    the integral overflowed or ran out of budget.  Discrete time sums over
-    the integers s = t0, ..., t instead.  With ``operator`` the induced norm
-    of Phi(t,s,phi(s,t0,x)) replaces the dual vector norm, with one probe
-    per (t, t0, x) and vstar None.
+    Yields (t, t0, x, vstar, value) in probe order, where value is Skipped
+    when the integral overflowed or ran out of budget.  Discrete time sums
+    over the integers s = t0, ..., t instead.  With ``operator`` the induced
+    norm of Phi(t,s,phi(s,t0,x)) replaces the dual vector norm, with one
+    probe per (t, t0, x) and vstar None.  Each distinct integral is computed
+    once per system.
     """
-    duals = (None,) if operator else system.dual_samples
+    duals = [(w, _norm_class(w)) for w in ((None,) if operator else system.dual_samples)]
+    memo = _memo(system).setdefault(
+        ("adjoint", time, gauge, alpha, config.tol, config.eval_cap), {})
 
     def weight(t, t0, x, vstar, s):
         y = evolve(system, s, t0, x)
@@ -329,22 +384,26 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
             ln = log_adjoint_dual_norm(system, t, s, y, vstar)
         return gauge(math.exp(alpha * (t - s) + ln))
 
+    def adjoint(t, t0, x, vstar):
+        integrand = functools.partial(weight, float(t), float(t0), x, vstar)
+        try:
+            if time == "continuous":
+                return integrate_finite(integrand, t0, t, config.tol, eval_cap=config.eval_cap).value
+            value = 0.0
+            for k in range(t0, t + 1):
+                value += integrand(float(k))
+            return value
+        except (NonFinite, BudgetExceeded, OverflowError) as exc:
+            return Skipped.after(exc)
+
     pairs = backward_pairs(system) if time == "continuous" else discrete_pairs(system)
     for t, t0 in pairs:
         for x in system.state_samples:
-            for vstar in duals:
-                integrand = functools.partial(weight, float(t), float(t0), x, vstar)
-                try:
-                    if time == "continuous":
-                        value = integrate_finite(
-                            integrand, t0, t, config.tol, eval_cap=config.eval_cap
-                        ).value
-                    else:
-                        value = 0.0
-                        for k in range(t0, t + 1):
-                            value += integrand(float(k))
-                except (NonFinite, BudgetExceeded, OverflowError):
-                    value = None
+            for vstar, cls in duals:
+                key = (t, t0, x, cls)
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = adjoint(t, t0, x, vstar)
                 yield t, t0, x, vstar, value
 
 
@@ -380,14 +439,14 @@ def test_datko(system: System, form: str, time: str, gauge: Gauge, config) -> Cr
 
     sup_ratio = 0.0
     worst = None
-    any_inconclusive = False
+    skipped = None
     per_t0: dict = {}
     for t0, x, v, result in forward_tails(system, form, time, gauge, config):
         denom = gauge(vec_norm(v, system.norm_choice) if form == "vector" else 1.0)
         if denom == 0.0:
             raise DegenerateProbe("gauge vanished on a unit probe vector")
-        if result is None:
-            any_inconclusive = True
+        if isinstance(result, Skipped):
+            skipped = skipped or result
             continue
         ratio = result.value / denom
         per_t0[t0] = max(per_t0.get(t0, 0.0), ratio)
@@ -416,8 +475,8 @@ def test_datko(system: System, form: str, time: str, gauge: Gauge, config) -> Cr
             witness=witness_dict(t0=t0, x=x, v=v, partial=result.value, ratio=sup_ratio),
             config_echo=echo,
         )
-    if any_inconclusive or sup_ratio > n_cap:
-        evidence["band"] = "ratio above cap" if sup_ratio > n_cap else "overflow-limited probe"
+    if skipped is not None or sup_ratio > n_cap:
+        evidence["band"] = "ratio above cap" if sup_ratio > n_cap else skipped.band
         return CriterionReport(cid, INCONCLUSIVE, evidence, config_echo=echo)
     return CriterionReport(cid, PASS, evidence, config_echo=echo)
 
@@ -443,7 +502,7 @@ def test_barbashin(
     for t, t0, x, vstar, val in backward_integrals(
         system, time, gauge, config, operator=time == "discrete"
     ):
-        if val is None:
+        if isinstance(val, Skipped):
             any_skipped = True
             continue
         if form == "vector-dual":

@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from skewflow.cli import main
 
@@ -254,3 +255,37 @@ class TestGroundTruthContradiction:
         validate(doc)
         assert code == 3
         assert doc["contradictions"]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta-max", "1"),
+        ("--grid-step", "0"),
+        ("--grid-h", "0"),
+        ("--tmax", "-5"),
+        ("--tmax", "nan"),
+        ("--tol", "inf"),
+        ("--ncap", "inf"),
+    ])
+    def test_bad_flag_exits_2_with_error_document(self, flag, value):
+        code, text = run_cli(["classify", "--system", "scalar_decay", flag, value])
+        assert code == 2
+        doc = json.loads(text)
+        validate(doc)
+        assert doc["error"].startswith("ConfigError: ")
+
+    def test_non_numeric_file_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "scalar_decay", "tmax": "long"}))
+        code, text = run_cli(["classify", "--config", str(cfg)])
+        assert code == 2
+        assert json.loads(text)["error"].startswith("ConfigError: ")
+
+
+class TestInconclusiveBands:
+    def test_short_horizon_names_the_horizon(self):
+        code, text = run_cli(["classify", "--system", "bounded_ratio", "--tmax", "2"])
+        by_id = {r["criterion_id"]: r for r in json.loads(text)["criteria"]}
+        for cid in ("datko-v", "datko-op", "datko-d", "datko-v-nu", "datko-op-nu", "datko-d-nu"):
+            assert by_id[cid]["verdict"] == "inconclusive", cid
+            assert by_id[cid]["evidence"]["band"] == "horizon-limited probe", cid

@@ -1,0 +1,61 @@
+"""Byte-identity guard: the CLI outputs that must not move, pinned by digest.
+
+Each entry is the sha256 of a call's stdout with the ``timestamp`` value
+blanked.  A speed-up or refactor must leave these outputs byte-identical;
+a change that moves them on purpose re-records the digests with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says in its change notes which outputs moved and why.
+"""
+
+import hashlib
+import io
+import re
+from contextlib import redirect_stdout
+
+import pytest
+
+from skewflow.cli import main
+
+GOLDEN = {
+    ("classify", "--system", "shift-metric-demo"):
+        "f967474318b382d53cc916adce9de10688b77ad24db99bdb802795c289806133",
+    ("classify", "--system", "diag3"):
+        "b5c345095c3f4eab36e7b980a89640ac90cef283c78c19b46030e8e27cfb5a66",
+    ("classify", "--system", "scalar_decay"):
+        "6f2dd77bb889b6d7c1a0faf2fcd015814d157779b6fcfd70b31544a516dc1604",
+    ("classify", "--system", "bounded_ratio"):
+        "04f74bc8f040ae75e776adc589d01ef199813154dcf372addf0cd7d86d1e5a2b",
+    ("classify", "--system", "tsint"):
+        "81ccc207c339f31dcf889cbe5a6452a0600639d2a4a7529c4e7f291005658869",
+    ("classify", "--system", "spike"):
+        "f1e69e3fb5ccf8df2c2021d956d39b4317c13696652384245b932fdf2f8266a3",
+    ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-1,0,0.5,1,2"):
+        "9d71f5c5a23ed7b52f00105c6b46d8990f912948f1be1bdcd0a73dbe37b8ec49",
+}
+
+_TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+
+def output_digest(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(list(argv))
+    text = _TIMESTAMP.sub('"timestamp": ""', buf.getvalue())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_output_is_byte_identical(argv):
+    digest = output_digest(argv)
+    assert digest == GOLDEN[argv], (
+        f"`skewflow {' '.join(argv)}` output changed (sha256 {digest}). If the change "
+        "is intended, re-record with `PYTHONPATH=src python tests/test_golden.py` "
+        "and name the moved outputs in the change notes."
+    )
+
+
+if __name__ == "__main__":
+    for argv in GOLDEN:
+        print(f"    {argv!r}:\n        {output_digest(argv)!r},")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from skewflow import gallery
+from skewflow import RunConfig, gallery
 from skewflow.core import log_vector_norm, shift_cocycle
 from skewflow.gauges import make_gauge
 from skewflow.nonuniform import (
@@ -109,6 +109,15 @@ class TestDatkoNonuniform:
         r = datko_nu_check(systems["spike"], "operator", "continuous", IDENTITY, 0.5, config)
         assert "literal-threshold" in r.config_echo["flag"]
         assert "literal_violations" in r.evidence
+
+    def test_operator_form_inconclusive_when_tails_skipped(self, systems):
+        # with a horizon of 2 no tail is computed: an empty table is no pass
+        r = datko_nu_check(
+            systems["bounded_ratio"], "operator", "continuous", IDENTITY, 0.5, RunConfig(tmax=2.0)
+        )
+        assert r.verdict == INCONCLUSIVE
+        assert r.evidence["per_t0"] == []
+        assert r.evidence["band"] == "horizon-limited probe"
 
     def test_alpha_must_be_positive(self, systems, config):
         with pytest.raises(ValueError):

@@ -1,10 +1,15 @@
 """Uniform criterion panel: fits, minorant, half-decay, tail and adjoint tests."""
 
+import dataclasses
+import gc
+import io
 import math
+from contextlib import redirect_stdout
 
 import pytest
 
-from skewflow import gallery
+from skewflow import RunConfig, gallery, uniform
+from skewflow.cli import main
 from skewflow.core import operator_norm, shift_cocycle
 from skewflow.errors import MissingGrowthEnvelope
 from skewflow.gauges import make_gauge
@@ -12,7 +17,9 @@ from skewflow.growth import estimate_growth
 from skewflow.probes import discrete_pairs, ratio_data
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
 from skewflow.uniform import (
+    Skipped,
     fit_exponential_decay,
+    forward_tails,
     run_uniform_panel,
     test_barbashin as barbashin_check,
     test_datko as datko_check,
@@ -340,3 +347,101 @@ class TestMonotoneGaugeConsistency:
         identity = datko_check(s, "vector", "continuous", IDENTITY, config)
         assert quadratic.verdict == PASS
         assert identity.verdict == PASS
+
+
+class _CountingCocycle:
+    def __init__(self, base):
+        self.base = base
+        self.calls = 0
+
+    def log_diag(self, t, s, x):
+        self.calls += 1
+        return self.base.log_diag(t, s, x)
+
+
+def _counted(system, **fields):
+    """A copy of system whose log_diag calls are counted."""
+    cocycle = _CountingCocycle(system.cocycle)
+    return dataclasses.replace(system, cocycle=cocycle, **fields), cocycle
+
+
+class TestIntegralMemo:
+    def test_sign_flipped_scalar_probe_costs_nothing(self, systems, config):
+        base = systems["scalar_decay"]
+        assert base.vector_samples == ((1.0,), (-1.0,))
+        one, one_count = _counted(base, vector_samples=((1.0,),))
+        both, both_count = _counted(base)
+        single = list(forward_tails(one, "vector", "continuous", IDENTITY, config))
+        by_probe = {
+            (t0, x, v): r for t0, x, v, r in forward_tails(both, "vector", "continuous", IDENTITY, config)
+        }
+        assert both_count.calls == one_count.calls > 0
+        for t0, x, _, r in single:
+            assert by_probe[(t0, x, (1.0,))] == r == by_probe[(t0, x, (-1.0,))]
+
+    def test_continuous_barbashin_op_reuses_barbashin_v(self, systems, config):
+        s, count = _counted(systems["diag3"])
+        v = barbashin_check(s, "vector-dual", "continuous", IDENTITY, config, "uniform-stability")
+        calls = count.calls
+        op = barbashin_check(s, "operator-dual", "continuous", IDENTITY, config, "uniform-stability")
+        assert count.calls == calls > 0
+        assert op.evidence == v.evidence
+
+    def test_distinct_norm_classes_are_each_computed(self, systems):
+        cfg = RunConfig(tmax=10.0)
+        base = systems["diag3"]
+        assert len({tuple(abs(c) for c in v) for v in base.vector_samples}) == 3
+        full, full_count = _counted(base)
+        results = {(t0, x, v): r for t0, x, v, r in forward_tails(full, "vector", "continuous", IDENTITY, cfg)}
+        calls = 0
+        for vec in base.vector_samples:
+            alone, count = _counted(base, vector_samples=(vec,))
+            for t0, x, v, r in forward_tails(alone, "vector", "continuous", IDENTITY, cfg):
+                assert results[(t0, x, v)] == r, (t0, x, v)
+            calls += count.calls
+        assert full_count.calls == calls
+
+    def test_memo_does_not_outlive_its_system(self, monkeypatch):
+        calls = [0]
+        log_diag = gallery.SpikeCocycle.log_diag
+
+        def counting(self, t, s, x):
+            calls[0] += 1
+            return log_diag(self, t, s, x)
+
+        monkeypatch.setattr(gallery.SpikeCocycle, "log_diag", counting)
+        gc.collect()
+        live = len(uniform._MEMOS)
+        counts = []
+        for _ in range(2):
+            calls[0] = 0
+            with redirect_stdout(io.StringIO()):
+                main(["classify", "--system", "spike"])
+            counts.append(calls[0])
+        gc.collect()
+        assert counts[0] == counts[1] > 0
+        assert len(uniform._MEMOS) == live
+
+
+class TestSkippedCause:
+    def test_exhausted_budget(self, systems):
+        r = datko_check(systems["scalar_decay"], "vector", "continuous", IDENTITY, RunConfig(eval_cap=0))
+        assert r.verdict == INCONCLUSIVE
+        assert r.evidence["band"] == "budget-limited probe"
+
+    @pytest.mark.parametrize("time", ["continuous", "discrete"])
+    def test_overflow(self, time, config):
+        # e^{800 (s - t0)} leaves float range within one unit of t0
+        r = datko_check(gallery.exponential_system(800.0), "vector", time, IDENTITY, config)
+        assert r.verdict == INCONCLUSIVE
+        assert r.evidence["band"] == "overflow-limited probe"
+
+    def test_adjoint_overflow_and_budget(self, config):
+        s = gallery.exponential_system(800.0)
+        causes = {val.cause for *_, val in uniform.backward_integrals(s, "continuous", IDENTITY, config)
+                  if isinstance(val, Skipped)}
+        assert causes == {"overflow"}
+        starved = RunConfig(eval_cap=0)
+        causes = {val.cause for *_, val in uniform.backward_integrals(s, "continuous", IDENTITY, starved)
+                  if isinstance(val, Skipped)}
+        assert causes == {"budget"}
