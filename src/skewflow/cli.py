@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import gallery
@@ -30,7 +31,7 @@ from .growth import estimate_growth, verify_growth
 from .nonuniform import run_nonuniform_panel
 from .probes import law_probes
 from .reports import FAIL, PASS, TAG_COMPATIBLE, UES
-from .uniform import UES_CRITERIA, test_datko
+from .uniform import UES_CRITERIA, Skipped, test_datko
 
 SCHEMA_VERSION = "1"
 
@@ -93,24 +94,10 @@ def _parse_params(pairs) -> dict:
 
 def _config_from_args(args) -> RunConfig:
     file_doc = load_config_file(args.config) if args.config else None
-    flags = {
-        "system": args.system,
-        "criteria": args.criteria,
-        "gauge": args.gauge,
-        "grid_h": args.grid_h,
-        "grid_step": args.grid_step,
-        "tmax": args.tmax,
-        "delta_max": args.delta_max,
-        "tol": args.tol,
-        "ncap": args.ncap,
-        "eval_cap": args.eval_cap,
-        "seed": args.seed,
-        "out": args.out,
-        "format": args.format,
-        "omega_const": args.omega_const,
-    }
+    # every flag is named after its RunConfig field; unset flags are None
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     params = _parse_params(args.param)
-    cfg = merge_config(file_doc, {k: v for k, v in flags.items() if v is not None})
+    cfg = merge_config(file_doc, flags)
     if params:
         merged = dict(cfg.params)
         merged.update(params)
@@ -126,13 +113,16 @@ def _build_system(cfg: RunConfig) -> System:
     return gallery.build(cfg.system, cfg.params)
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, out_path: str | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _base_doc(command: str, cfg: RunConfig | None) -> dict:
@@ -204,18 +194,27 @@ def cmd_growth(args) -> int:
     return EXIT_OK
 
 
+# bands of a probe set the run could not afford: no detector result either way
+STARVED_BANDS = (Skipped("budget").band, Skipped("horizon").band)
+
+
+def starved(report) -> bool:
+    return report.evidence.get("band") in STARVED_BANDS
+
+
 def check_ground_truth(system: System, verdict, cfg: RunConfig) -> list:
     """Inconsistencies between the computed panel and a declared tag.
 
     For UES-tagged systems the full pass-set is required (forward tail
     tests re-run with the quadratic gauge as well); for tagged
     non-uniformly-stable systems the vector forward tail test must fail.
+    A starved report (budget- or horizon-limited) is skipped.
     """
     tag = system.ground_truth
     if tag is None:
         return []
     out = []
-    by_id = {r.criterion_id: r for r in verdict.criteria}
+    by_id = {r.criterion_id: r for r in verdict.criteria if not starved(r)}
     if tag == UES:
         for cid in UES_CRITERIA:
             r = by_id.get(cid)
@@ -224,11 +223,11 @@ def check_ground_truth(system: System, verdict, cfg: RunConfig) -> list:
         for form, time in (("vector", "continuous"), ("operator", "continuous"),
                            ("vector", "discrete")):
             r = test_datko(system, form, time, make_gauge("pow:2"), cfg)
-            if r.verdict != PASS:
+            if r.verdict != PASS and not starved(r):
                 out.append(f"tag UES but {r.criterion_id} with pow:2 returned {r.verdict}")
-    if tag in ("US-not-UES", "ES-not-UES"):
-        r = by_id.get("datko-v")
-        if r is None or r.verdict != FAIL:
+    if tag in ("US-not-UES", "ES-not-UES") and "datko-v" in by_id:
+        r = by_id["datko-v"]
+        if r.verdict != FAIL:
             out.append(f"tag {tag} but datko-v did not fail with a witness")
     compatible = TAG_COMPATIBLE.get(tag)
     if compatible and verdict.label != "inconclusive" and verdict.label not in compatible:
@@ -256,7 +255,7 @@ def cmd_classify(args) -> int:
         doc["contradictions"] = contradictions
         if contradictions:
             code = EXIT_CONTRADICTION
-        elif verdict.label == "inconclusive":
+        elif verdict.label == "inconclusive" or any(starved(r) for r in verdict.criteria):
             code = EXIT_INCONCLUSIVE
         else:
             code = EXIT_OK
@@ -314,13 +313,17 @@ def cmd_sweep(args) -> int:
             nfit.evidence.get("nu", "") if nfit and nfit.verdict == PASS else "",
             counts["pass"], counts["fail"], counts["inconclusive"],
         ])
-    text = buf.getvalue()
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), cfg.out)
     return EXIT_OK
+
+
+COMMANDS = {
+    "gallery": cmd_gallery,
+    "axioms": cmd_axioms,
+    "growth": cmd_growth,
+    "classify": cmd_classify,
+    "sweep": cmd_sweep,
+}
 
 
 def main(argv=None) -> int:
@@ -330,27 +333,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        if args.command == "gallery":
-            return cmd_gallery(args)
-        if args.command == "axioms":
-            return cmd_axioms(args)
-        if args.command == "growth":
-            return cmd_growth(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except SkewflowError as exc:
-        err = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "config": {},
-            "error": f"{type(exc).__name__}: {exc}",
-            "exit_code": EXIT_CONFIG,
-        }
-        sys.stdout.write(json.dumps(err, indent=2, sort_keys=True) + "\n")
+        err = _base_doc(args.command, None)
+        err["error"] = f"{type(exc).__name__}: {exc}"
+        err["exit_code"] = EXIT_CONFIG
+        _emit(err, None)
         return EXIT_CONFIG
 
 

@@ -7,6 +7,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
+from .reports import NONUNIFORM_CRITERIA, UNIFORM_CRITERIA
 
 
 @dataclass
@@ -41,7 +42,8 @@ class RunConfig:
         return d
 
 
-_FLOAT_FIELDS = {"grid_h", "grid_step", "tmax", "delta_max", "tol", "ncap", "ncap_nonuniform"}
+_FLOAT_FIELDS = {f.name for f in fields(RunConfig) if f.type == "float"}
+_INT_FIELDS = {f.name for f in fields(RunConfig) if f.type == "int"}
 
 
 def load_config_file(path: str) -> dict:
@@ -71,7 +73,7 @@ def merge_config(file_doc: dict | None, flag_values: dict) -> RunConfig:
             try:
                 if key in _FLOAT_FIELDS:
                     value = float(value)
-                elif key in ("seed", "eval_cap"):
+                elif key in _INT_FIELDS:
                     value = int(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
@@ -88,4 +90,8 @@ def merge_config(file_doc: dict | None, flag_values: dict) -> RunConfig:
         raise ConfigError("delta_max must be at least 2")
     if cfg.format not in ("json", "csv"):
         raise ConfigError(f"unknown format {cfg.format!r}")
+    known = UNIFORM_CRITERIA + NONUNIFORM_CRITERIA
+    unknown = sorted((cfg.selected_criteria() or set()) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown criteria {unknown}; choose from {', '.join(known)}")
     return cfg

@@ -17,7 +17,7 @@ underflow; that is the only evaluation path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,7 +109,9 @@ class System:
     the system's contract.  ``vector_samples`` must be unit vectors in
     ``norm_choice``; ``dual_samples`` unit in the dual norm.  The cocycle
     is any object with a ``log_diag(t, s, x)`` method returning the logs of
-    its diagonal entries' magnitudes.
+    its diagonal entries' magnitudes.  ``memo`` holds the integral results
+    computed for this system; a copy made with ``dataclasses.replace``
+    starts with an empty one.
     """
 
     name: str
@@ -122,6 +124,7 @@ class System:
     dual_samples: tuple
     ground_truth: str | None = None
     horizons: Horizons = Horizons()
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.dimension <= 8:

@@ -33,35 +33,33 @@ from .core import (
 )
 from .errors import InvalidParams
 
-GALLERY_NAMES = (
-    "shift-metric-demo",
-    "diag3",
-    "scalar_decay",
-    "bounded_ratio",
-    "tsint",
-    "spike",
-)
+# default parameters of each system, merged under any overrides by ``build``
+DEFAULTS = {
+    "shift-metric-demo": {"l": 2.0, "rate": 1.0},
+    "diag3": {"alpha1": -1.0, "alpha2": 1.0, "alpha3": -3.0, "l": 2.0},
+    "scalar_decay": {"mu": 2.0},
+    "bounded_ratio": {"c": 2.0},
+    "tsint": {},
+    "spike": {"nodes": 6},
+}
+
+GALLERY_NAMES = tuple(DEFAULTS)
 
 
 # ---------------------------------------------------------------------------
-# semiflows
-
-class ShiftSemiflow:
-    """phi(t, s, f_theta) = f_{theta + (t-s)} on a space of translates."""
-
-    def __call__(self, t, s, x):
-        if t == s:
-            return x
-        return StatePoint(SHIFT_PARAMETER, x.value + (t - s))
-
+# semiflow
 
 class TranslationSemiflow:
-    """phi(t, s, x) = t - s + x on the nonnegative half-line."""
+    """phi(t, s, x) = x + (t - s), for either state kind.
+
+    On shift-parameter states this moves f_theta to f_{theta + (t-s)}; on
+    abstract-real states it translates along the nonnegative half-line.
+    """
 
     def __call__(self, t, s, x):
         if t == s:
             return x
-        return StatePoint(ABSTRACT_REAL, x.value + (t - s))
+        return StatePoint(x.kind, x.value + (t - s))
 
 
 # ---------------------------------------------------------------------------
@@ -219,73 +217,65 @@ def _real_states(values):
     return tuple(StatePoint(ABSTRACT_REAL, v) for v in values)
 
 
-def _as_float(params, key, default):
-    v = params.get(key, default)
+def _probe_vectors(dimension, norm):
+    """Unit vector samples and unit dual samples for a diagonal cocycle."""
+    if dimension == 1:
+        return _SCALAR_VECTORS, _SCALAR_VECTORS
+    if norm == "L1" and dimension == 3:
+        return _DIAG3_VECTORS, _DIAG3_DUALS
+    basis = tuple(tuple(float(i == j) for j in range(dimension)) for i in range(dimension))
+    return basis, basis
+
+
+def _as_float(params, key):
+    v = params[key]
     try:
         return float(v)
     except (TypeError, ValueError):
         raise InvalidParams(f"parameter {key} must be a number, got {v!r}")
 
 
-# ---------------------------------------------------------------------------
-# builders
-
-def _build_shift_metric_demo(params):
-    l = _as_float(params, "l", 2.0)
-    rate = _as_float(params, "rate", 1.0)
-    if not l > 0.0:
-        raise InvalidParams("l must be positive")
-    coeff = -rate
-    if coeff < 0.0:
-        tag = "UES"
-    elif coeff == 0.0:
-        tag = "US-not-UES"
-    else:
-        tag = "unstable"
+def _system(name, cocycle, states, ground_truth, horizons=Horizons(), dimension=1, norm="L1"):
+    """A system moved by the translation semiflow, probed with the standard vectors."""
+    vectors, duals = _probe_vectors(dimension, norm)
     return System(
-        name="shift-metric-demo",
-        semiflow=ShiftSemiflow(),
-        cocycle=HumpIntegralCocycle((coeff,), l),
-        dimension=1,
-        norm_choice="L1",
-        state_samples=_shift_states((-2.0, 0.0, 1.5, math.inf)),
-        vector_samples=_SCALAR_VECTORS,
-        dual_samples=_SCALAR_VECTORS,
-        ground_truth=tag,
-        horizons=Horizons(s_max=6.0, lag_max=1024.0, tail_cap=100.0),
+        name=name,
+        semiflow=TranslationSemiflow(),
+        cocycle=cocycle,
+        dimension=dimension,
+        norm_choice=norm,
+        state_samples=states,
+        vector_samples=vectors,
+        dual_samples=duals,
+        ground_truth=ground_truth,
+        horizons=horizons,
     )
 
 
-def _build_diag3(params):
-    a1 = _as_float(params, "alpha1", -1.0)
-    a2 = _as_float(params, "alpha2", 1.0)
-    a3 = _as_float(params, "alpha3", -3.0)
-    l = _as_float(params, "l", 2.0)
+# ---------------------------------------------------------------------------
+# builders; each reads its parameters merged over DEFAULTS
+
+def _build_hump(name, coeffs, l):
+    """shift-metric-demo (one coefficient) and diag3 (three)."""
     if not l > 0.0:
         raise InvalidParams("l must be positive")
-    coeffs = (a1, -a2, a3)
     if all(c < 0.0 for c in coeffs):
         tag = "UES"
     elif any(c > 0.0 for c in coeffs):
         tag = "unstable"
     else:
         tag = "US-not-UES"
-    return System(
-        name="diag3",
-        semiflow=ShiftSemiflow(),
-        cocycle=HumpIntegralCocycle(coeffs, l),
-        dimension=3,
-        norm_choice="L1",
-        state_samples=_shift_states((-2.0, 0.0, 1.5, math.inf)),
-        vector_samples=_DIAG3_VECTORS,
-        dual_samples=_DIAG3_DUALS,
-        ground_truth=tag,
-        horizons=Horizons(s_max=6.0, lag_max=1024.0, tail_cap=100.0),
+    return _system(
+        name,
+        HumpIntegralCocycle(coeffs, l),
+        _shift_states((-2.0, 0.0, 1.5, math.inf)),
+        tag,
+        dimension=len(coeffs),
     )
 
 
 def _build_scalar_decay(params):
-    mu = _as_float(params, "mu", 2.0)
+    mu = params["mu"]
     thetas = params.get("thetas", (0.0, 1.0, 2.5))
     # the base translate at shift theta starts at f(theta) = 1/(1+theta)
     for theta in thetas:
@@ -293,57 +283,39 @@ def _build_scalar_decay(params):
             raise InvalidParams(
                 f"mu={mu} must exceed the state's initial value {1.0 / (1.0 + theta)}"
             )
-    return System(
-        name="scalar_decay",
-        semiflow=ShiftSemiflow(),
-        cocycle=DecayingShiftCocycle(mu),
-        dimension=1,
-        norm_choice="L1",
-        state_samples=_shift_states(tuple(float(t) for t in thetas)),
-        vector_samples=_SCALAR_VECTORS,
-        dual_samples=_SCALAR_VECTORS,
-        ground_truth="UES",
-        horizons=Horizons(s_max=6.0, lag_max=1024.0, tail_cap=100.0),
+    return _system(
+        "scalar_decay",
+        DecayingShiftCocycle(mu),
+        _shift_states(tuple(float(t) for t in thetas)),
+        "UES",
     )
 
 
 def _build_bounded_ratio(params):
-    c = _as_float(params, "c", 2.0)
-    if not c > 1.0:
+    if not params["c"] > 1.0:
         raise InvalidParams("c must exceed 1")
-    return System(
-        name="bounded_ratio",
-        semiflow=TranslationSemiflow(),
-        cocycle=BoundedRatioCocycle(c),
-        dimension=1,
-        norm_choice="L1",
-        state_samples=_real_states((0.0, 1.0, 3.0)),
-        vector_samples=_SCALAR_VECTORS,
-        dual_samples=_SCALAR_VECTORS,
-        ground_truth="US-not-UES",
-        horizons=Horizons(s_max=6.0, lag_max=1024.0, tail_cap=100.0),
+    return _system(
+        "bounded_ratio",
+        BoundedRatioCocycle(params["c"]),
+        _real_states((0.0, 1.0, 3.0)),
+        "US-not-UES",
     )
 
 
 def _build_tsint(params):
-    return System(
-        name="tsint",
-        semiflow=TranslationSemiflow(),
-        cocycle=OscillatingDecayCocycle(),
-        dimension=1,
-        norm_choice="L1",
-        state_samples=_real_states((0.0, 1.0, 2.5)),
-        vector_samples=_SCALAR_VECTORS,
-        dual_samples=_SCALAR_VECTORS,
-        ground_truth="ES",
+    return _system(
+        "tsint",
+        OscillatingDecayCocycle(),
+        _real_states((0.0, 1.0, 2.5)),
+        "ES",
         # starting times stay below the first big oscillation transient so
         # that per-bin constants remain under the nonuniform cap
-        horizons=Horizons(s_max=4.0, lag_max=12.0, tail_cap=100.0),
+        Horizons(s_max=4.0, lag_max=12.0),
     )
 
 
 def _build_spike(params):
-    nodes = int(_as_float(params, "nodes", 6.0))
+    nodes = int(params["nodes"])
     if not 1 <= nodes <= 8:
         raise InvalidParams("nodes must be between 1 and 8")
     pairs = []
@@ -351,23 +323,18 @@ def _build_spike(params):
         t = n + math.exp(-float(n) ** 2)
         if t > n and t <= 6.0 + 12.0:
             pairs.append((t, float(n)))
-    return System(
-        name="spike",
-        semiflow=TranslationSemiflow(),
-        cocycle=SpikeCocycle(nodes),
-        dimension=1,
-        norm_choice="L1",
-        state_samples=_real_states((0.0, 1.0, 2.5)),
-        vector_samples=_SCALAR_VECTORS,
-        dual_samples=_SCALAR_VECTORS,
-        ground_truth="ES-not-UES",
-        horizons=Horizons(s_max=6.0, lag_max=12.0, tail_cap=100.0, extra_pairs=tuple(pairs)),
+    return _system(
+        "spike",
+        SpikeCocycle(nodes),
+        _real_states((0.0, 1.0, 2.5)),
+        "ES-not-UES",
+        Horizons(lag_max=12.0, extra_pairs=tuple(pairs)),
     )
 
 
 _BUILDERS = {
-    "shift-metric-demo": _build_shift_metric_demo,
-    "diag3": _build_diag3,
+    "shift-metric-demo": lambda p: _build_hump("shift-metric-demo", (-p["rate"],), p["l"]),
+    "diag3": lambda p: _build_hump("diag3", (p["alpha1"], -p["alpha2"], p["alpha3"]), p["l"]),
     "scalar_decay": _build_scalar_decay,
     "bounded_ratio": _build_bounded_ratio,
     "tsint": _build_tsint,
@@ -379,40 +346,30 @@ def build(name: str, params: dict | None = None) -> System:
     """Build a gallery system by name with optional parameter overrides."""
     if name not in _BUILDERS:
         raise InvalidParams(f"unknown gallery system {name!r}; choose from {GALLERY_NAMES}")
-    return _BUILDERS[name](params or {})
+    merged = {**DEFAULTS[name], **(params or {})}
+    for key in DEFAULTS[name]:
+        merged[key] = _as_float(merged, key)
+    return _BUILDERS[name](merged)
 
 
 def gallery_entries() -> list:
     """Name, default parameters, and tag for every built-in system."""
-    out = []
-    defaults = {
-        "shift-metric-demo": {"l": 2.0, "rate": 1.0},
-        "diag3": {"alpha1": -1.0, "alpha2": 1.0, "alpha3": -3.0, "l": 2.0},
-        "scalar_decay": {"mu": 2.0},
-        "bounded_ratio": {"c": 2.0},
-        "tsint": {},
-        "spike": {"nodes": 6},
-    }
-    for name in GALLERY_NAMES:
-        out.append({
-            "name": name,
-            "params": defaults[name],
-            "ground_truth": build(name).ground_truth,
-        })
-    return out
+    return [
+        {"name": name, "params": dict(params), "ground_truth": build(name).ground_truth}
+        for name, params in DEFAULTS.items()
+    ]
 
 
 def build_custom(spec: dict) -> System:
     """Build a system from the declarative scalar/diagonal family.
 
     Spec keys: ``entries`` (list of term lists; see DeclarativeCocycle),
-    optional ``scales``, ``norm``, ``name``, ``s_max``, ``lag_max``,
-    ``tail_cap``, ``ground_truth``.
+    optional ``scales`` (finite and positive), ``norm``, ``name``, ``s_max``,
+    ``lag_max``, ``tail_cap``, ``ground_truth``.
     """
     entries = spec.get("entries")
     if not entries:
         raise InvalidParams("custom system needs a nonempty 'entries' list")
-    dim = len(entries)
     for terms in entries:
         for term in terms:
             if term.get("kind") not in DeclarativeCocycle.KINDS:
@@ -420,38 +377,19 @@ def build_custom(spec: dict) -> System:
             if "coef" not in term:
                 raise InvalidParams("each term needs a 'coef'")
     scales = spec.get("scales")
-    if scales is not None and len(scales) != dim:
-        raise InvalidParams("'scales' must match the number of entries")
-    norm = spec.get("norm", "L1")
-    if dim == 1:
-        vectors = _SCALAR_VECTORS
-        duals = _SCALAR_VECTORS
-    elif norm == "L1" and dim == 3:
-        vectors = _DIAG3_VECTORS
-        duals = _DIAG3_DUALS
-    else:
-        basis = []
-        for i in range(dim):
-            e = [0.0] * dim
-            e[i] = 1.0
-            basis.append(tuple(e))
-        vectors = tuple(basis)
-        duals = tuple(basis)
-    return System(
-        name=spec.get("name", "custom"),
-        semiflow=TranslationSemiflow(),
-        cocycle=DeclarativeCocycle(entries, scales),
-        dimension=dim,
-        norm_choice=norm,
-        state_samples=_real_states((0.0, 1.0, 2.5)),
-        vector_samples=vectors,
-        dual_samples=duals,
-        ground_truth=spec.get("ground_truth"),
-        horizons=Horizons(
-            s_max=float(spec.get("s_max", 6.0)),
-            lag_max=float(spec.get("lag_max", 1024.0)),
-            tail_cap=float(spec.get("tail_cap", 100.0)),
-        ),
+    if scales is not None:
+        if not isinstance(scales, (list, tuple)) or len(scales) != len(entries):
+            raise InvalidParams("'scales' must be a list matching the number of entries")
+        if not all(isinstance(c, (int, float)) and 0.0 < c < math.inf for c in scales):
+            raise InvalidParams(f"'scales' must be finite and positive, got {scales!r}")
+    return _system(
+        spec.get("name", "custom"),
+        DeclarativeCocycle(entries, scales),
+        _real_states((0.0, 1.0, 2.5)),
+        spec.get("ground_truth"),
+        Horizons(**{k: _as_float(spec, k) for k in ("s_max", "lag_max", "tail_cap") if k in spec}),
+        dimension=len(entries),
+        norm=spec.get("norm", "L1"),
     )
 
 

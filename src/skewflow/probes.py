@@ -34,17 +34,6 @@ def lag_grid(lag_max: float) -> list:
     return lags
 
 
-def integer_lag_grid(lag_max: float) -> list:
-    lags = [float(k) for k in range(0, int(min(lag_max, 12.0)) + 1)]
-    g = 16.0
-    while g <= lag_max:
-        lags.append(g)
-        g *= 2.0
-    if lags[-1] < lag_max and float(int(lag_max)) == lag_max and lag_max > 12.0:
-        lags.append(float(int(lag_max)))
-    return lags
-
-
 def s_grid(s_max: float, step: float = 0.5) -> list:
     n = int(math.floor(s_max / step + 1e-9))
     return [i * step for i in range(n + 1)]
@@ -90,7 +79,7 @@ def ratio_data(
     h = system.horizons
     cap = h.lag_max if lag_max is None else min(lag_max, h.lag_max)
     if integer_only:
-        lags = integer_lag_grid(cap)
+        lags = [lag for lag in lag_grid(cap) if lag.is_integer()]
         svals = t0_grid(h.s_max)
         offsets = (0.0,)
     else:

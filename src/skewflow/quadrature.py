@@ -1,8 +1,11 @@
 """Deterministic integration and series summation for the criterion panel.
 
 Finite intervals use adaptive-bisection Simpson quadrature.  Improper upper
-limits are handled by integrating unit-length blocks until the last block's
-contribution drops below tol/10 (converged) or a horizon cap is reached.
+limits are handled by integrating unit-length blocks until the last block
+settles (converged) or a horizon cap is reached.  A block or series term
+settles when it is below tol/10 or can no longer change the running total
+(at most 2**-52 of it), so a tol below float resolution cannot keep a
+converged tail running.
 Hitting the cap is reported as ``converged = False`` with the partial value:
 criteria interpret that as a divergence signal, never as an exception.
 """
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, NonFinite
 
 EVAL_CAP = 1_000_000
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,11 @@ def integrate_finite(
     return IntegralResult(total, err_total, converged, g.n, b)
 
 
+def _settled(part: float, total: float, tol: float) -> bool:
+    """Whether a block or term is below tol/10 or too small to move the running total."""
+    return abs(part) < tol / 10.0 or abs(part) <= _EPS * abs(total)
+
+
 def integrate_tail(
     f,
     a: float,
@@ -111,7 +120,7 @@ def integrate_tail(
     """Integral of f over [a, inf), truncated adaptively.
 
     Blocks [a, a+1], [a+1, a+2], ... are integrated until the last block
-    contributes less than tol/10 in absolute value (converged), or the
+    settles (converged; see the module notes), or the
     horizon cap is reached (``converged = False``; the partial integral is
     returned as a divergence signal).
     """
@@ -133,7 +142,7 @@ def integrate_tail(
         end = nxt
         if not math.isfinite(total):
             raise NonFinite(f"tail integral overflowed by s={end}")
-        if abs(r.value) < tol / 10.0:
+        if _settled(r.value, total, tol):
             converged = True
             err_total += abs(r.value)
             break
@@ -143,7 +152,7 @@ def integrate_tail(
 def sum_tail(f, n0: int, tol: float, cap: int) -> IntegralResult:
     """Partial sum of f(n0) + f(n0+1) + ... with small-term truncation.
 
-    Stops after three consecutive terms below tol/10 (converged) or after
+    Stops after three consecutive settled terms (converged) or after
     ``cap`` terms (``converged = False``, divergence signal).
     """
     if not cap > 0:
@@ -164,7 +173,7 @@ def sum_tail(f, n0: int, tol: float, cap: int) -> IntegralResult:
         if not math.isfinite(total):
             raise NonFinite(f"series sum overflowed at n={k}")
         terms += 1
-        if abs(term) < tol / 10.0:
+        if _settled(term, total, tol):
             streak += 1
             if streak >= 3:
                 converged = True

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 from .core import (
@@ -289,19 +288,6 @@ def _with_halving(run, a: float, horizon: float):
     return skipped
 
 
-# Integral results of each live system, keyed by everything the integrand and
-# the quadrature read; a system's entry is dropped when the system dies.
-_MEMOS: dict = {}
-
-
-def _memo(system: System) -> dict:
-    memo = _MEMOS.get(id(system))
-    if memo is None:
-        memo = _MEMOS[id(system)] = {}
-        weakref.finalize(system, _MEMOS.pop, id(system), None)
-    return memo
-
-
 def _norm_class(w):
     """What a log norm reads of a probe vector: its |w_i|, or None for the induced norm.
 
@@ -327,7 +313,8 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
     """
     cap = min(config.tmax, system.horizons.tail_cap)
     lead = system.vector_samples[0]
-    memo = _memo(system).setdefault(
+    # keyed by everything the integrand and the quadrature read
+    memo = system.memo.setdefault(
         ("tail", time, gauge, alpha, first if time == "discrete" else None,
          cap, config.tol, config.eval_cap), {})
 
@@ -373,7 +360,7 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
     once per system.
     """
     duals = [(w, _norm_class(w)) for w in ((None,) if operator else system.dual_samples)]
-    memo = _memo(system).setdefault(
+    memo = system.memo.setdefault(
         ("adjoint", time, gauge, alpha, config.tol, config.eval_cap), {})
 
     def weight(t, t0, x, vstar, s):

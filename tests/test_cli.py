@@ -274,12 +274,48 @@ class TestConfigValidation:
         validate(doc)
         assert doc["error"].startswith("ConfigError: ")
 
+    @pytest.mark.parametrize("criteria", ["bogus", "datko-v,bogus"])
+    def test_unknown_criterion_exits_2(self, criteria):
+        code, text = run_cli(["classify", "--system", "scalar_decay", "--criteria", criteria])
+        assert code == 2
+        doc = json.loads(text)
+        validate(doc)
+        assert doc["error"].startswith("ConfigError: unknown criteria ['bogus']")
+        assert "datko-v-nu" in doc["error"]
+
+    @pytest.mark.parametrize("scales", [[0.0], [-1.0], [float("inf")], 1.0])
+    def test_custom_scales_not_a_list_of_positive_finite_numbers_exit_2(self, tmp_path, scales):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_system": {
+            "entries": [[{"kind": "linear", "coef": -1.0}]], "scales": scales,
+        }}))
+        code, text = run_cli(["classify", "--config", str(cfg)])
+        assert code == 2
+        doc = json.loads(text)
+        validate(doc)
+        assert doc["error"].startswith("InvalidParams: 'scales'")
+
     def test_non_numeric_file_value_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"system": "scalar_decay", "tmax": "long"}))
         code, text = run_cli(["classify", "--config", str(cfg)])
         assert code == 2
         assert json.loads(text)["error"].startswith("ConfigError: ")
+
+
+class TestStarvedRuns:
+    """A budget- or horizon-limited band is no detector result, so never a contradiction."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--system", "scalar_decay", "--eval-cap", "0"],
+        ["--system", "bounded_ratio", "--tmax", "2"],
+    ])
+    def test_starved_run_is_inconclusive(self, argv):
+        code, text = run_cli(["classify", *argv])
+        doc = json.loads(text)
+        validate(doc)
+        assert doc["contradictions"] == []
+        assert code == 1
 
 
 class TestInconclusiveBands:

@@ -33,6 +33,22 @@ GOLDEN = {
         "f1e69e3fb5ccf8df2c2021d956d39b4317c13696652384245b932fdf2f8266a3",
     ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-1,0,0.5,1,2"):
         "9d71f5c5a23ed7b52f00105c6b46d8990f912948f1be1bdcd0a73dbe37b8ec49",
+    ("gallery", "list"):
+        "ae9dda9fc5ae2c6e7cc4145cf5a325c56c84335314d2c657d86f8df4492c639b",
+    ("axioms", "--system", "diag3"):
+        "b3ad1518d4dc14c7281e4b83f4b826a0556a722f1a9319cebf25fb080870bb42",
+    ("growth", "--system", "tsint", "--omega-const"):
+        "e34b9e9a5e49832c498945aa8086f0656165c83ed5090cf5158eea9c13421a64",
+    # every flag that reaches the config echo
+    ("classify", "--system", "scalar_decay", "--criteria", "fit-exp,datko-v,barbashin-d",
+     "--gauge", "pow:2", "--grid-h", "8", "--tmax", "50", "--tol", "1e-7", "--ncap", "500",
+     "--eval-cap", "200000", "--delta-max", "5", "--param", "mu=3"):
+        "82ca2d4d702465c3dd99ac46299b726ecd01c9ec656720ff2be97a63d6aa9532",
+    ("sweep", "--system", "diag3", "--sweep", "alpha1=-1,1", "--param", "l=1.5"):
+        "246af11f3b6b3267e1e729a6e7c660d96dc6f883181f729cf32b994a9b741ea1",
+    # the exit-2 error document
+    ("classify", "--system", "nosuch"):
+        "fdaa7106e6ed27a6d9237d1af03f81678655971dfc6467054b2582a39669d290",
 }
 
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')

@@ -92,6 +92,18 @@ def test_sum_harmonic_divergence():
     assert r.value == pytest.approx(9.787606036044348, rel=1e-12)
 
 
+def test_settles_when_terms_cannot_move_the_total():
+    # tol/10 = 1e-301 is out of reach inside the horizon; the tails are still converged
+    r = integrate_tail(lambda s: math.exp(-s), 0.0, 1e-300, 100.0)
+    assert r.converged
+    assert abs(r.value - 1.0) <= 1e-9
+    r = sum_tail(lambda k: math.exp(-k), 0, 1e-300, 100)
+    assert r.converged
+    assert abs(r.value - 1.5819767068693265) <= 1e-12
+    # a divergent series keeps terms far above 2**-52 of its total
+    assert not sum_tail(lambda k: 1.0 / (k + 1), 0, 1e-300, 10000).converged
+
+
 def test_converged_implies_error_within_tolerance():
     for tol in (1e-6, 1e-8, 1e-10):
         r = integrate_finite(lambda t: math.exp(-t), 0.0, 5.0, tol)

@@ -1,7 +1,6 @@
 """Uniform criterion panel: fits, minorant, half-decay, tail and adjoint tests."""
 
 import dataclasses
-import gc
 import io
 import math
 from contextlib import redirect_stdout
@@ -14,6 +13,7 @@ from skewflow.core import operator_norm, shift_cocycle
 from skewflow.errors import MissingGrowthEnvelope
 from skewflow.gauges import make_gauge
 from skewflow.growth import estimate_growth
+from skewflow.nonuniform import test_datko_nonuniform as datko_nonuniform_check
 from skewflow.probes import discrete_pairs, ratio_data
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
 from skewflow.uniform import (
@@ -183,6 +183,23 @@ class TestDatko:
         s = gallery.exponential_system(1.0)
         r = datko_check(s, "vector", "continuous", IDENTITY, config)
         assert r.verdict == FAIL
+
+    @pytest.mark.parametrize("form, time", [
+        ("vector", "continuous"), ("operator", "continuous"), ("vector", "discrete"),
+    ])
+    def test_lowering_tol_never_turns_a_pass_into_a_fail(self, systems, form, time):
+        s = systems["scalar_decay"]
+        verdicts = []
+        for tol in (1e-6, 1e-12, 1e-300):
+            cfg = RunConfig(tol=tol)
+            verdicts.append((
+                datko_check(s, form, time, IDENTITY, cfg).verdict,
+                datko_nonuniform_check(s, form, time, IDENTITY, 1.0, cfg).verdict,
+            ))
+        assert verdicts[0][0] == PASS
+        for before, after in zip(verdicts, verdicts[1:]):
+            for b, a in zip(before, after):
+                assert not (b == PASS and a == FAIL), verdicts
 
 
 class TestBarbashin:
@@ -410,17 +427,19 @@ class TestIntegralMemo:
             return log_diag(self, t, s, x)
 
         monkeypatch.setattr(gallery.SpikeCocycle, "log_diag", counting)
-        gc.collect()
-        live = len(uniform._MEMOS)
         counts = []
         for _ in range(2):
             calls[0] = 0
             with redirect_stdout(io.StringIO()):
                 main(["classify", "--system", "spike"])
             counts.append(calls[0])
-        gc.collect()
         assert counts[0] == counts[1] > 0
-        assert len(uniform._MEMOS) == live
+
+    def test_a_replaced_copy_starts_with_an_empty_memo(self, config):
+        s = gallery.exponential_system(-1.0)
+        datko_check(s, "vector", "continuous", IDENTITY, config)
+        assert s.memo
+        assert dataclasses.replace(s).memo == {}
 
 
 class TestSkippedCause:
