@@ -88,6 +88,10 @@ def merge_config(file_doc: dict | None, flag_values: dict) -> RunConfig:
         raise ConfigError("caps must be positive")
     if cfg.delta_max < 2:
         raise ConfigError("delta_max must be at least 2")
+    if not isinstance(cfg.criteria, str):
+        raise ConfigError(f"criteria must be a comma-separated string, got {cfg.criteria!r}")
+    if not isinstance(cfg.params, dict):
+        raise ConfigError(f"params must be an object, got {cfg.params!r}")
     if cfg.format not in ("json", "csv"):
         raise ConfigError(f"unknown format {cfg.format!r}")
     known = UNIFORM_CRITERIA + NONUNIFORM_CRITERIA

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -189,34 +190,67 @@ def _log_abs(c: float) -> float:
     return math.log(abs(c)) if c != 0.0 else _NEG_INF
 
 
-def _combine_logs(norm: str, terms) -> float:
-    """log of the norm of a vector given the logs of its component magnitudes."""
-    finite = [t for t in terms if t != _NEG_INF]
-    if not finite:
-        return _NEG_INF
+def log_combiner(norm: str, w=None):
+    """g -> log ||diag(e^g) w||, for logs g of the entry magnitudes of a diagonal operator.
+
+    The probe-constant work, log|w_i| and the dispatch on the norm, is done
+    here once; the returned function combines the log terms g_i + log|w_i|
+    with a max-shifted log-sum-exp, so huge or tiny norms stay finite.
+    Terms equal to -inf (zero components) are dropped.  With w None it is
+    the induced norm, which for a diagonal operator is the largest entry
+    magnitude under all three norms.
+    """
+    if w is None:
+        return max
+    logs = [_log_abs(c) for c in w]
+    # one term (scalar systems, most of the gallery): the same operations without the lists
     if norm == "Linf":
-        return max(finite)
+        if len(logs) == 1:
+            (lw,) = logs
+            return lambda g: g[0] + lw
+        return lambda g: max([t for t in map(add, g, logs) if t != _NEG_INF], default=_NEG_INF)
     scale = 1.0 if norm == "L1" else 2.0
-    m = max(finite)
-    acc = sum(math.exp(scale * (t - m)) for t in finite)
-    return m + math.log(acc) / scale
+    if len(logs) == 1:
+        (lw,) = logs
+
+        def combine(g):
+            m = g[0] + lw
+            return m if m == _NEG_INF else m + math.log(math.exp(scale * (m - m))) / scale
+        return combine
+
+    def combine(g):
+        finite = [t for t in map(add, g, logs) if t != _NEG_INF]
+        if not finite:
+            return _NEG_INF
+        m = max(finite)
+        return m + math.log(sum([math.exp(scale * (t - m)) for t in finite])) / scale
+    return combine
+
+
+def log_norm_path(system: System, w=None, dual: bool = False):
+    """(t, s, x) -> log ||Phi(t, s, x) w||, built once per probe vector w.
+
+    With w None it is the induced norm of Phi(t, s, x); with dual set, w is
+    a functional and the value is the dual norm of Phi(t, s, x)^T w.  Every
+    call checks the time order before it evaluates the cocycle.
+    """
+    combine = log_combiner(_DUAL[system.norm_choice] if dual else system.norm_choice, w)
+    log_diag = system.cocycle.log_diag
+
+    def log_norm(t, s, x):
+        check_time_pair(t, s)
+        return combine(log_diag(t, s, x))
+    return log_norm
 
 
 def log_vector_norm(system: System, t: float, s: float, x: StatePoint, v) -> float:
     """log ||Phi(t, s, x) v||, computed without forming huge or tiny exponentials."""
-    check_time_pair(t, s)
-    g = system.cocycle.log_diag(t, s, x)
-    return _combine_logs(system.norm_choice, [gi + _log_abs(vi) for gi, vi in zip(g, v)])
+    return log_norm_path(system, v)(t, s, x)
 
 
 def log_operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
-    """log of the induced norm of Phi(t, s, x).
-
-    For diagonal cocycles the induced norm equals the largest entry
-    magnitude under all three norms.
-    """
-    check_time_pair(t, s)
-    return max(system.cocycle.log_diag(t, s, x))
+    """log of the induced norm of Phi(t, s, x)."""
+    return log_norm_path(system)(t, s, x)
 
 
 def operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
@@ -229,9 +263,7 @@ def operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
 
 def log_adjoint_dual_norm(system: System, t: float, s: float, x: StatePoint, vstar) -> float:
     """log of the dual norm of Phi(t, s, x)^T applied to a functional."""
-    check_time_pair(t, s)
-    g = system.cocycle.log_diag(t, s, x)
-    return _combine_logs(_DUAL[system.norm_choice], [gi + _log_abs(wi) for gi, wi in zip(g, vstar)])
+    return log_norm_path(system, vstar, dual=True)(t, s, x)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ shape constraints.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import (
     ABSTRACT_REAL,
@@ -376,6 +377,9 @@ def build_custom(spec: dict) -> System:
                 raise InvalidParams(f"unknown term kind {term.get('kind')!r}")
             if "coef" not in term:
                 raise InvalidParams("each term needs a 'coef'")
+            c = term["coef"]  # a JSON integer may lie beyond the float range
+            if isinstance(c, bool) or not (isinstance(c, (int, float)) and abs(c) <= sys.float_info.max):
+                raise InvalidParams(f"'coef' must be a finite number, got {c!r}")
     scales = spec.get("scales")
     if scales is not None:
         if not isinstance(scales, (list, tuple)) or len(scales) != len(entries):

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import System, log_vector_norm
+from .core import System, log_norm_path
 
 # dense coverage of short lags, then geometric coverage out to the cap
 _LAG_BASE = (
@@ -87,6 +87,7 @@ def ratio_data(
         svals = s_grid(h.s_max, s_step)
         offsets = _OFFSETS
 
+    samples = [(v, log_norm_path(system, v)) for v in system.vector_samples]
     probes = []
     skipped = 0
     seen = set()
@@ -100,20 +101,20 @@ def ratio_data(
                 continue
             seen.add(key)
             for x in system.state_samples:
-                for v in system.vector_samples:
-                    ln_s = log_vector_norm(system, s, t0, x, v)
+                for v, log_norm in samples:
+                    ln_s = log_norm(s, t0, x)
                     if ln_s == float("-inf"):
                         skipped += 1
                         continue
                     for lag in lags:
                         t = s + lag
-                        ln_t = log_vector_norm(system, t, t0, x, v)
+                        ln_t = log_norm(t, t0, x)
                         probes.append(RatioProbe(t, s, t0, x, v, lag, ln_t - ln_s))
     if not integer_only:
         for t, s in h.extra_pairs:
             for x in system.state_samples:
-                for v in system.vector_samples:
-                    ln_t = log_vector_norm(system, t, s, x, v)
+                for v, log_norm in samples:
+                    ln_t = log_norm(t, s, x)
                     probes.append(RatioProbe(t, s, s, x, v, t - s, ln_t))
     return RatioData(tuple(probes), skipped)
 

@@ -30,27 +30,6 @@ class IntegralResult:
     truncation_horizon: float
 
 
-class _Counter:
-    __slots__ = ("f", "n", "cap")
-
-    def __init__(self, f, cap):
-        self.f = f
-        self.n = 0
-        self.cap = cap
-
-    def __call__(self, x):
-        if self.n >= self.cap:
-            raise BudgetExceeded(f"evaluation cap {self.cap} reached")
-        self.n += 1
-        try:
-            y = self.f(x)
-        except OverflowError:
-            raise NonFinite(f"integrand overflowed at x={x}")
-        if not math.isfinite(y):
-            raise NonFinite(f"integrand returned {y} at x={x}")
-        return y
-
-
 def integrate_finite(
     f, a: float, b: float, tol: float, eval_cap: int = EVAL_CAP, rel_tol: float = 1e-9
 ) -> IntegralResult:
@@ -69,7 +48,21 @@ def integrate_finite(
         raise ValueError("tol must be positive")
     if a == b:
         return IntegralResult(0.0, 0.0, True, 0, b)
-    g = _Counter(f, eval_cap)
+    n = 0  # evaluations so far; the cap is checked before each one
+
+    def g(x):
+        nonlocal n
+        if n >= eval_cap:
+            raise BudgetExceeded(f"evaluation cap {eval_cap} reached")
+        n += 1
+        try:
+            y = f(x)
+        except OverflowError:
+            raise NonFinite(f"integrand overflowed at x={x}")
+        if not math.isfinite(y):
+            raise NonFinite(f"integrand returned {y} at x={x}")
+        return y
+
     fa, fb = g(a), g(b)
     m = 0.5 * (a + b)
     fm = g(m)
@@ -101,7 +94,7 @@ def integrate_finite(
             stack.append((mid, x2, f1, frm, f2, sr, half))
             stack.append((x0, mid, f0, flm, f1, sl, half))
     converged = err_total <= tol + rel_tol * abs(total)
-    return IntegralResult(total, err_total, converged, g.n, b)
+    return IntegralResult(total, err_total, converged, n, b)
 
 
 def _settled(part: float, total: float, tol: float) -> bool:

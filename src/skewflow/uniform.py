@@ -9,7 +9,6 @@ divergence witnesses.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ from .core import (
     System,
     dual_norm,
     evolve,
-    log_adjoint_dual_norm,
+    log_norm_path,
     log_operator_norm,
     log_vector_norm,
     vec_norm,
@@ -317,16 +316,14 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
     memo = system.memo.setdefault(
         ("tail", time, gauge, alpha, first if time == "discrete" else None,
          cap, config.tol, config.eval_cap), {})
-
-    def weight(t0, x, v, sigma):
-        if form == "vector":
-            ln = log_vector_norm(system, sigma, t0, x, v)
-        else:
-            ln = log_operator_norm(system, sigma, t0, x)
-        return gauge(math.exp(alpha * (sigma - t0) + ln))
+    exp = math.exp
 
     def tail(t0, x, v):
-        integrand = functools.partial(weight, t0, x, v)
+        log_norm = log_norm_path(system, v if form == "vector" else None)
+
+        def integrand(sigma):
+            return gauge(exp(alpha * (sigma - t0) + log_norm(sigma, t0, x)))
+
         if time == "continuous":
             return _with_halving(
                 lambda h: integrate_tail(integrand, t0, config.tol, h, eval_cap=config.eval_cap),
@@ -359,20 +356,19 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
     probe per (t, t0, x) and vstar None.  Each distinct integral is computed
     once per system.
     """
-    duals = [(w, _norm_class(w)) for w in ((None,) if operator else system.dual_samples)]
+    duals = [(w, _norm_class(w), log_norm_path(system, w, dual=True))
+             for w in ((None,) if operator else system.dual_samples)]
     memo = system.memo.setdefault(
         ("adjoint", time, gauge, alpha, config.tol, config.eval_cap), {})
+    exp = math.exp
 
-    def weight(t, t0, x, vstar, s):
-        y = evolve(system, s, t0, x)
-        if vstar is None:
-            ln = log_operator_norm(system, t, s, y)
-        else:
-            ln = log_adjoint_dual_norm(system, t, s, y, vstar)
-        return gauge(math.exp(alpha * (t - s) + ln))
+    def adjoint(t, t0, x, log_norm):
+        end, start = float(t), float(t0)
 
-    def adjoint(t, t0, x, vstar):
-        integrand = functools.partial(weight, float(t), float(t0), x, vstar)
+        def integrand(s):
+            y = evolve(system, s, start, x)
+            return gauge(exp(alpha * (end - s) + log_norm(end, s, y)))
+
         try:
             if time == "continuous":
                 return integrate_finite(integrand, t0, t, config.tol, eval_cap=config.eval_cap).value
@@ -386,11 +382,11 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
     pairs = backward_pairs(system) if time == "continuous" else discrete_pairs(system)
     for t, t0 in pairs:
         for x in system.state_samples:
-            for vstar, cls in duals:
+            for vstar, cls, log_norm in duals:
                 key = (t, t0, x, cls)
                 value = memo.get(key)
                 if value is None:
-                    value = memo[key] = adjoint(t, t0, x, vstar)
+                    value = memo[key] = adjoint(t, t0, x, log_norm)
                 yield t, t0, x, vstar, value
 
 

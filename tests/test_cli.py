@@ -302,6 +302,27 @@ class TestConfigValidation:
         assert code == 2
         assert json.loads(text)["error"].startswith("ConfigError: ")
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"system": "scalar_decay", "criteria": ["datko-v"]},
+         "ConfigError: criteria must be a comma-separated string"),
+        ({"system": "scalar_decay", "params": [1]},
+         "ConfigError: params must be an object"),
+        ({"custom_system": {"entries": [[{"kind": "linear", "coef": "x"}]]}},
+         "InvalidParams: 'coef' must be a finite number"),
+        ({"custom_system": {"entries": [[{"kind": "linear", "coef": 10**400}]]}},
+         "InvalidParams: 'coef' must be a finite number"),
+        ({"custom_system": {"entries": [[{"kind": "linear", "coef": True}]]}},
+         "InvalidParams: 'coef' must be a finite number"),
+    ], ids=["criteria-list", "params-list", "coef-string", "coef-huge-int", "coef-bool"])
+    def test_wrong_json_type_in_config_file_exits_2(self, tmp_path, doc, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, text = run_cli(["classify", "--config", str(cfg)])
+        assert code == 2
+        doc = json.loads(text)
+        validate(doc)
+        assert doc["error"].startswith(error)
+
 
 class TestStarvedRuns:
     """A budget- or horizon-limited band is no detector result, so never a contradiction."""

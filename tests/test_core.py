@@ -1,7 +1,9 @@
 """Flow primitives: laws, adjoints, operator norms, spectral shift."""
 
+import itertools
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from skewflow.core import (
     check_semiflow_law,
     cocycle_matrix,
     dual_norm,
+    log_combiner,
+    log_norm_path,
     log_vector_norm,
     operator_norm,
     shift_cocycle,
@@ -55,6 +59,14 @@ class TestApplyCocycle:
         s = systems["scalar_decay"]
         with pytest.raises(TimeOrderViolation):
             apply_cocycle(s, 1.0, 2.0, s.state_samples[0], (1.0,))
+
+    def test_log_norm_path_checks_time_order_on_every_call(self, systems):
+        s = systems["diag3"]
+        x = s.state_samples[0]
+        log_norm = log_norm_path(s, s.vector_samples[0])
+        assert log_norm(2.0, 1.0, x) == log_vector_norm(s, 2.0, 1.0, x, s.vector_samples[0])
+        with pytest.raises(TimeOrderViolation):
+            log_norm(1.0, 2.0, x)
 
     def test_overflow_is_nonfinite(self):
         grow = gallery.exponential_system(8.0)
@@ -224,3 +236,58 @@ def test_dual_pairing_bound(vstar, v):
     pair = abs(sum(a * b for a, b in zip(vstar, v)))
     for norm in ("L1", "L2", "Linf"):
         assert pair <= dual_norm(vstar, norm) * vec_norm(v, norm) + 1e-12
+
+
+def reference_combine_logs(norm, terms):
+    """log of a vector norm from the logs of the component magnitudes, by max-shifted log-sum-exp."""
+    finite = [t for t in terms if t != float("-inf")]
+    if not finite:
+        return float("-inf")
+    if norm == "Linf":
+        return max(finite)
+    scale = 1.0 if norm == "L1" else 2.0
+    m = max(finite)
+    acc = sum(math.exp(scale * (t - m)) for t in finite)
+    return m + math.log(acc) / scale
+
+
+def reference_log_abs(c):
+    return math.log(abs(c)) if c != 0.0 else float("-inf")
+
+
+_LOG_TERMS = st.one_of(
+    st.floats(min_value=-800.0, max_value=800.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("-inf"), float("inf"), float("nan"), 0.0, -0.0]),
+)
+_COMPONENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+_SPECIAL_LOGS = (float("-inf"), float("inf"), float("nan"), -0.0, 0.0, 1.5, -745.0, 800.0)
+_SPECIAL_COMPONENTS = (0.0, -0.0, 1.0, -2.5, 1e-300)
+
+
+def assert_bit_identical(norm, g, w):
+    # struct.pack tells -0.0 from 0.0 and one nan payload from another
+    expected = reference_combine_logs(norm, [gi + reference_log_abs(wi) for gi, wi in zip(g, w)])
+    got = log_combiner(norm, w)(g)
+    assert struct.pack("d", got) == struct.pack("d", expected), (norm, g, w, got, expected)
+
+
+@pytest.mark.parametrize("norm", ("L1", "L2", "Linf"))
+@pytest.mark.parametrize("dim", range(1, 9))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_log_combiner_is_bit_identical_to_the_reference(norm, dim, data):
+    g = data.draw(st.lists(_LOG_TERMS, min_size=dim, max_size=dim), label="g")
+    w = data.draw(st.lists(_COMPONENTS, min_size=dim, max_size=dim), label="w")
+    assert_bit_identical(norm, g, w)
+
+
+@pytest.mark.parametrize("norm", ("L1", "L2", "Linf"))
+def test_log_combiner_on_every_pairing_of_special_values(norm):
+    for dim in (1, 2):
+        for g in itertools.product(_SPECIAL_LOGS, repeat=dim):
+            for w in itertools.product(_SPECIAL_COMPONENTS, repeat=dim):
+                assert_bit_identical(norm, list(g), w)

@@ -49,6 +49,16 @@ GOLDEN = {
     # the exit-2 error document
     ("classify", "--system", "nosuch"):
         "fdaa7106e6ed27a6d9237d1af03f81678655971dfc6467054b2582a39669d290",
+    # quadrature's budget path (the sweep rows match the uncapped sweep's)
+    ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-1,0,0.5,1,2",
+     "--eval-cap", "2000"):
+        "9d71f5c5a23ed7b52f00105c6b46d8990f912948f1be1bdcd0a73dbe37b8ec49",
+    # the overflow path: every horizon halving of the discrete tails
+    ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-4"):
+        "99a6c42b0047832233060d304c874d2bdd6c9a3668f3ed2b8ff62254cdc7c954",
+    # a starved run: every integral is budget-limited
+    ("classify", "--system", "scalar_decay", "--eval-cap", "0"):
+        "6f34a6c97ebb0c6c9fb4788f27be2d202bb115965f0ff9702fa948330e0d08f3",
 }
 
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')

@@ -139,6 +139,62 @@ def test_budget_cap():
         integrate_finite(lambda t: math.sin(1.0 / (t + 1e-9)), 0.0, 1.0, 1e-14, eval_cap=200)
 
 
+def _recording(f):
+    """f, and the list of the points it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+def _wiggle(t):
+    return math.exp(-t) * (2.0 + math.sin(5.0 * t))
+
+
+class TestBudgetBoundary:
+    """The evaluation cap is checked before each evaluation, and only then is f called."""
+
+    def test_cap_equal_to_the_need_succeeds_and_one_less_fails(self):
+        need = integrate_finite(_wiggle, 0.0, 3.0, 1e-10).evaluations
+        assert need > 20
+        r = integrate_finite(_wiggle, 0.0, 3.0, 1e-10, eval_cap=need)
+        assert r.converged and r.evaluations == need
+        g, calls = _recording(_wiggle)
+        with pytest.raises(BudgetExceeded, match=rf"^evaluation cap {need - 1} reached$"):
+            integrate_finite(g, 0.0, 3.0, 1e-10, eval_cap=need - 1)
+        assert len(calls) == need - 1
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda x: float("nan"), r"^integrand returned nan at x=0\.75$"),
+        (lambda x: math.exp(1000.0), r"^integrand overflowed at x=0\.75$"),
+    ])
+    def test_non_finite_value_before_the_cap_raises_non_finite(self, bad, error):
+        # a, b, the midpoint, then the first quarter point: the fourth is the bad one
+        def f(x):
+            return bad(x) if x == 0.75 else 1.0 + x * x
+
+        with pytest.raises(NonFinite, match=error):
+            integrate_finite(f, 0.0, 3.0, 1e-10, eval_cap=4)
+        with pytest.raises(BudgetExceeded, match=r"^evaluation cap 3 reached$"):
+            integrate_finite(f, 0.0, 3.0, 1e-10, eval_cap=3)
+
+    def test_tail_passes_the_remaining_budget_from_block_to_block(self):
+        full = integrate_tail(_wiggle, 0.0, 1e-6, 100.0)
+        need, blocks = full.evaluations, int(full.truncation_horizon)
+        assert full.converged and blocks >= 3
+        assert integrate_tail(_wiggle, 0.0, 1e-6, 100.0, eval_cap=need).evaluations == need
+        g, calls = _recording(_wiggle)
+        with pytest.raises(BudgetExceeded) as exc:
+            integrate_tail(g, 0.0, 1e-6, 100.0, eval_cap=need - 1)
+        assert len(calls) == need - 1
+        # the last block starts with its left end; the blocks before it spent the rest
+        spent = len(calls) - 1 - calls[::-1].index(float(blocks - 1))
+        assert spent > 0
+        assert str(exc.value) == f"evaluation cap {need - 1 - spent} reached"
+
+
 @given(st.floats(min_value=0.1, max_value=3.0), st.floats(min_value=0.5, max_value=8.0))
 @settings(max_examples=60, deadline=None)
 def test_exponential_tail_identity(nu, a):

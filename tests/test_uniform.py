@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import math
 from contextlib import redirect_stdout
 
@@ -9,12 +10,19 @@ import pytest
 
 from skewflow import RunConfig, gallery, uniform
 from skewflow.cli import main
-from skewflow.core import operator_norm, shift_cocycle
+from skewflow.core import (
+    log_adjoint_dual_norm,
+    log_operator_norm,
+    log_vector_norm,
+    operator_norm,
+    shift_cocycle,
+)
 from skewflow.errors import MissingGrowthEnvelope
 from skewflow.gauges import make_gauge
 from skewflow.growth import estimate_growth
 from skewflow.nonuniform import test_datko_nonuniform as datko_nonuniform_check
 from skewflow.probes import discrete_pairs, ratio_data
+from skewflow.quadrature import integrate_finite, integrate_tail
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
 from skewflow.uniform import (
     Skipped,
@@ -440,6 +448,46 @@ class TestIntegralMemo:
         datko_check(s, "vector", "continuous", IDENTITY, config)
         assert s.memo
         assert dataclasses.replace(s).memo == {}
+
+
+class TestIntegrandsMatchTheWrappers:
+    """Each kernel's per-probe integrand computes exactly what the core log-norm wrappers give."""
+
+    @pytest.mark.parametrize("name", ["diag3", "shift-metric-demo"])
+    @pytest.mark.parametrize("form", ["vector", "operator"])
+    def test_forward_tails(self, systems, name, form):
+        s = dataclasses.replace(systems[name])  # an empty memo
+        cfg = RunConfig(tmax=10.0)
+        gauge = make_gauge("pow:2")
+        for t0, x, v, result in itertools.islice(forward_tails(s, form, "continuous", gauge, cfg), 8):
+            def f(sigma):
+                ln = (log_vector_norm(s, sigma, t0, x, v) if form == "vector"
+                      else log_operator_norm(s, sigma, t0, x))
+                return gauge(math.exp(ln))
+
+            assert result == integrate_tail(f, t0, cfg.tol, 10.0, eval_cap=cfg.eval_cap)
+
+    @pytest.mark.parametrize("name", ["diag3", "shift-metric-demo"])
+    @pytest.mark.parametrize("time, operator", [("continuous", False), ("continuous", True),
+                                                ("discrete", True)])
+    def test_backward_integrals(self, systems, config, name, time, operator):
+        s = dataclasses.replace(systems[name])
+        alpha = 0.5
+        values = uniform.backward_integrals(s, time, IDENTITY, config, alpha, operator)
+        for t, t0, x, vstar, value in itertools.islice(values, 12):
+            def f(u):
+                y = s.semiflow(u, float(t0), x)
+                ln = (log_operator_norm(s, t, u, y) if vstar is None
+                      else log_adjoint_dual_norm(s, t, u, y, vstar))
+                return math.exp(alpha * (t - u) + ln)
+
+            if time == "continuous":
+                expected = integrate_finite(f, t0, t, config.tol, eval_cap=config.eval_cap).value
+            else:
+                expected = 0.0
+                for k in range(t0, t + 1):
+                    expected += f(float(k))
+            assert value == expected
 
 
 class TestSkippedCause:
