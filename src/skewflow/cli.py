@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from . import gallery
 from .config import ConfigError, RunConfig, load_config_file, merge_config
 from .core import System, check_cocycle_law, check_semiflow_law
-from .errors import SkewflowError, TimeOrderViolation
+from .errors import TimeOrderViolation
 from .gauges import make_gauge
 from .growth import estimate_growth, verify_growth
 from .nonuniform import run_nonuniform_panel
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return COMMANDS[args.command](args)
-    except SkewflowError as exc:
+    except Exception as exc:  # a SkewflowError, or an input no check foresaw: never exit 1
         err = _base_doc(args.command, None)
         err["error"] = f"{type(exc).__name__}: {exc}"
         err["exit_code"] = EXIT_CONFIG

@@ -11,15 +11,20 @@ two-time-parameter families defined for ``t >= s >= 0`` and satisfy
 A cocycle is diagonal and provides ``log_diag(t, s, x)``, the logs of its
 entry magnitudes, as closed-form scalars.  Trajectory norms are computed
 from those logs, so ratios survive horizons where ``exp()`` would over- or
-underflow; that is the only evaluation path.
+underflow.  There is one evaluation path, on arrays of time pairs and
+states: a cocycle may declare an array form of ``log_diag`` (see
+``array_form``), and one that does not is served by mapping ``log_diag``
+over the elements.  Transcendental functions run element by element on
+``math``, so every value is bit-identical to the scalar formula's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from operator import add
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,12 +37,46 @@ NORMS = ("L1", "L2", "Linf")
 _DUAL = {"L1": "Linf", "L2": "L2", "Linf": "L1"}
 
 _NEG_INF = float("-inf")
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
 def check_time_pair(t: float, s: float) -> None:
     """Validate membership of (t, s) in the ordered time domain."""
     if not (t >= s >= 0.0):
         raise TimeOrderViolation(f"need t >= s >= 0, got t={t}, s={s}")
+
+
+def check_time_pairs(t: np.ndarray, s: np.ndarray) -> None:
+    """check_time_pair on every element of two arrays of times."""
+    ok = (t >= s) & (s >= 0.0)
+    if not ok.all():
+        check_time_pair(*(v[np.argmin(ok)] for v in (t, s)))
+
+
+def apply(f, a: np.ndarray) -> np.ndarray:
+    """The scalar function f (from ``math``) on every element of a float array."""
+    flat = a.ravel()
+    if flat.size <= 1024:
+        return np.fromiter(map(f, flat.tolist()), float, flat.size).reshape(a.shape)
+    # converted to Python floats 1024 at a time, so no long list of them is ever held
+    values = itertools.chain.from_iterable(flat[i:i + 1024].tolist() for i in range(0, flat.size, 1024))
+    return np.fromiter(map(f, values), float, flat.size).reshape(a.shape)
+
+
+def exp_or_nan(a: np.ndarray) -> np.ndarray:
+    """math.exp on every element; nan where it overflows, so no gauge can make the value finite."""
+    try:
+        return apply(math.exp, a)
+    except OverflowError:
+        return apply(lambda x: math.exp(x) if x <= _LOG_MAX or x == math.inf else math.nan, a)
+
+
+def array_form(scalar):
+    """Mark a method as the array form of the cocycle's ``log_diag``, ``scalar`` (see ``log_diags``)."""
+    def mark(f):
+        f.mirrors = scalar
+        return f
+    return mark
 
 
 @dataclass(frozen=True)
@@ -58,6 +97,20 @@ class StatePoint:
             raise InvalidParams(f"unknown state kind {self.kind!r}")
         if self.kind == ABSTRACT_REAL and not self.value >= 0.0:
             raise InvalidParams("abstract-real states must be >= 0")
+
+
+class States(NamedTuple):
+    """The states of a batch, one per element: their values and which are abstract-real."""
+
+    value: np.ndarray
+    real: np.ndarray
+
+    @classmethod
+    def of(cls, points) -> States:
+        return cls(np.array([x.value for x in points], dtype=float), np.array([x.kind == ABSTRACT_REAL for x in points]))
+
+    def points(self) -> list:
+        return [StatePoint((SHIFT_PARAMETER, ABSTRACT_REAL)[r], v) for v, r in zip(self.value.tolist(), self.real.tolist())]
 
 
 def state_distance(a: StatePoint, b: StatePoint) -> float:
@@ -144,9 +197,27 @@ class System:
                 raise InvalidParams(f"dual sample {v} is not unit in the dual norm")
 
 
-def evolve(system: System, t: float, s: float, x: StatePoint) -> StatePoint:
-    check_time_pair(t, s)
-    return system.semiflow(t, s, x)
+def evolve(system: System, t: np.ndarray, s: np.ndarray, x: States) -> States:
+    """phi(t_i, s_i, x_i) for every element, by the semiflow's array form ``move`` when it has one."""
+    check_time_pairs(t, s)
+    if hasattr(system.semiflow, "move"):
+        return States(system.semiflow.move(t, s, x.value, x.real), x.real)
+    return States.of(list(map(system.semiflow, t.tolist(), s.tolist(), x.points())))
+
+
+def log_diags(system: System, t: np.ndarray, s: np.ndarray, x: States) -> np.ndarray:
+    """The (d, n) array of log_diag(t_i, s_i, x_i).
+
+    A cocycle's ``log_diag_array(t, s, values)``, marked by ``array_form``,
+    serves while its class's ``log_diag`` is the one it was marked with;
+    otherwise (no array form, or ``log_diag`` replaced since) ``log_diag`` is
+    mapped over the elements.
+    """
+    many = getattr(system.cocycle, "log_diag_array", None)
+    if getattr(many, "mirrors", None) is getattr(type(system.cocycle), "log_diag", False):
+        return many(t, s, x.value)
+    rows = list(map(system.cocycle.log_diag, t.tolist(), s.tolist(), x.points()))
+    return np.array(rows, dtype=float).reshape(len(rows), system.dimension).T
 
 
 def cocycle_matrix(system: System, t: float, s: float, x: StatePoint) -> np.ndarray:
@@ -186,71 +257,108 @@ def apply_adjoint(system: System, t: float, s: float, x: StatePoint, vstar) -> n
 # ---------------------------------------------------------------------------
 # log-space trajectory norms (the workhorse of every ratio-based criterion)
 
-def _log_abs(c: float) -> float:
-    return math.log(abs(c)) if c != 0.0 else _NEG_INF
+def log_abs(w) -> np.ndarray:
+    """log|w_i| per component, -inf for a zero component."""
+    return np.array([math.log(abs(c)) if c != 0.0 else _NEG_INF for c in w], dtype=float)
 
 
-def log_combiner(norm: str, w=None):
-    """g -> log ||diag(e^g) w||, for logs g of the entry magnitudes of a diagonal operator.
+def combine_logs(norm: str | None, terms: np.ndarray) -> np.ndarray:
+    """log of a vector norm from the rows g_i + log|w_i| of ``terms``, element by element.
 
-    The probe-constant work, log|w_i| and the dispatch on the norm, is done
-    here once; the returned function combines the log terms g_i + log|w_i|
-    with a max-shifted log-sum-exp, so huge or tiny norms stay finite.
-    Terms equal to -inf (zero components) are dropped.  With w None it is
+    A max-shifted log-sum-exp keeps huge or tiny norms finite.  Terms equal
+    to -inf (zero components) are dropped, and the terms are taken in row
+    order, as Python's ``max`` and ``sum`` take a list.  With norm None it is
     the induced norm, which for a diagonal operator is the largest entry
     magnitude under all three norms.
     """
-    if w is None:
-        return max
-    logs = [_log_abs(c) for c in w]
-    # one term (scalar systems, most of the gallery): the same operations without the lists
+    shape = terms.shape[1:]
+    terms = terms.reshape(len(terms), -1)
+    rows = list(terms)
+    if norm is None:
+        m = rows[0]
+        for r in rows[1:]:
+            m = np.where(r > m, r, m)
+        return m.reshape(shape)
+    keep = [r != _NEG_INF for r in rows]
+    m = np.where(keep[0], rows[0], 0.0)
+    have = keep[0]
+    for r, k in zip(rows[1:], keep[1:]):
+        m = np.where(k & (~have | (r > m)), r, m)
+        have = have | k
     if norm == "Linf":
-        if len(logs) == 1:
-            (lw,) = logs
-            return lambda g: g[0] + lw
-        return lambda g: max([t for t in map(add, g, logs) if t != _NEG_INF], default=_NEG_INF)
+        return np.where(have, m, _NEG_INF).reshape(shape)
     scale = 1.0 if norm == "L1" else 2.0
-    if len(logs) == 1:
-        (lw,) = logs
+    # exp(0) = 1 and log(1) = 0 exactly, so math runs only where the argument differs
+    acc = 0.0
+    for r, k in zip(rows, keep):
+        z = scale * (r - m)
+        e = k.astype(float)
+        at = k & (z != 0.0)
+        if at.any():
+            e[at] = apply(math.exp, z[at])
+        acc = acc + e
+    acc = np.where(have, acc, 1.0)
+    lg = np.zeros(acc.shape)
+    at = acc != 1.0
+    if at.any():
+        lg[at] = apply(math.log, acc[at])
+    out = np.where(have, m + lg / scale, _NEG_INF)
+    # which nan an operation on two nans returns is up to the loop that runs it, so
+    # a nan is recomputed in Python's own order to keep even its sign bit-identical
+    for i in np.flatnonzero(np.isnan(out)).tolist():
+        finite = [t for t in terms[:, i].tolist() if t != _NEG_INF]
+        mx = max(finite)
+        out[i] = mx + math.log(sum([math.exp(scale * (t - mx)) for t in finite])) / scale
+    return out.reshape(shape)
 
-        def combine(g):
-            m = g[0] + lw
-            return m if m == _NEG_INF else m + math.log(math.exp(scale * (m - m))) / scale
-        return combine
 
+def log_combiner(norm: str, w=None):
+    """g -> log ||diag(e^g) w|| for logs g of a diagonal operator's entries (along the first axis)."""
+    lw = None if w is None else log_abs(w)
+
+    @np.errstate(all="ignore")
     def combine(g):
-        finite = [t for t in map(add, g, logs) if t != _NEG_INF]
-        if not finite:
-            return _NEG_INF
-        m = max(finite)
-        return m + math.log(sum([math.exp(scale * (t - m)) for t in finite])) / scale
+        g = np.asarray(g, dtype=float)
+        return combine_logs(None if lw is None else norm, g if lw is None else (g.T + lw).T)
     return combine
 
 
-def log_norm_path(system: System, w=None, dual: bool = False):
-    """(t, s, x) -> log ||Phi(t, s, x) w||, built once per probe vector w.
+@np.errstate(all="ignore")
+def log_norms(system: System, t, s, x, lw=None, dual: bool = False) -> np.ndarray:
+    """log ||Phi(t_i, s_i, x_i) w_i|| for every element: the one trajectory log-norm path.
 
-    With w None it is the induced norm of Phi(t, s, x); with dual set, w is
-    a functional and the value is the dual norm of Phi(t, s, x)^T w.  Every
-    call checks the time order before it evaluates the cocycle.
+    ``t`` and ``s`` are arrays of times, or scalars; ``x`` a States batch, or
+    one StatePoint for all.  ``lw`` holds log|w| of the probe vector, (d, 1)
+    or per element (d, n); None is the induced norm.  With ``dual`` each w
+    is a functional, normed by the dual norm.  The time order is checked on
+    every element before the cocycle is evaluated.
     """
-    combine = log_combiner(_DUAL[system.norm_choice] if dual else system.norm_choice, w)
-    log_diag = system.cocycle.log_diag
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    if t.shape != s.shape or t.ndim != 1:
+        t, s = (np.atleast_1d(v) for v in np.broadcast_arrays(t, s))
+    if isinstance(x, StatePoint):
+        x = States.of([x] * t.size)
+    check_time_pairs(t, s)
+    g = log_diags(system, t, s, x)
+    if lw is None:
+        return combine_logs(None, g)
+    return combine_logs(_DUAL[system.norm_choice] if dual else system.norm_choice, g + lw)
 
-    def log_norm(t, s, x):
-        check_time_pair(t, s)
-        return combine(log_diag(t, s, x))
-    return log_norm
+
+def log_norm_path(system: System, w=None, dual: bool = False):
+    """(t, s, x) -> log ||Phi(t, s, x) w|| on arrays (see ``log_norms``), built once per probe vector w."""
+    lw = None if w is None else log_abs(w)[:, None]
+    return lambda t, s, x: log_norms(system, t, s, x, lw, dual)
 
 
 def log_vector_norm(system: System, t: float, s: float, x: StatePoint, v) -> float:
     """log ||Phi(t, s, x) v||, computed without forming huge or tiny exponentials."""
-    return log_norm_path(system, v)(t, s, x)
+    return float(log_norm_path(system, v)(t, s, x)[0])
 
 
 def log_operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
     """log of the induced norm of Phi(t, s, x)."""
-    return log_norm_path(system)(t, s, x)
+    return float(log_norm_path(system)(t, s, x)[0])
 
 
 def operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
@@ -263,7 +371,7 @@ def operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
 
 def log_adjoint_dual_norm(system: System, t: float, s: float, x: StatePoint, vstar) -> float:
     """log of the dual norm of Phi(t, s, x)^T applied to a functional."""
-    return log_norm_path(system, vstar, dual=True)(t, s, x)
+    return float(log_norm_path(system, vstar, dual=True)(t, s, x)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ exponentials of closed-form scalars:
                      (nonuniformly stable, dramatic transients at nodes)
 
 Base-function choices are overridable defaults satisfying each family's
-shape constraints.
+shape constraints.  Each cocycle's ``log_diag_array`` is the array form of
+its ``log_diag``, bit-identical on every element: transcendental functions
+run on ``math``, element by element.
 """
 
 from __future__ import annotations
@@ -25,12 +27,16 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 from .core import (
     ABSTRACT_REAL,
     SHIFT_PARAMETER,
     Horizons,
     StatePoint,
     System,
+    apply,
+    array_form,
 )
 from .errors import InvalidParams
 
@@ -62,6 +68,13 @@ class TranslationSemiflow:
             return x
         return StatePoint(x.kind, x.value + (t - s))
 
+    def move(self, t, s, value, real):
+        """The array form: state values moved from s to t; abstract-real ones (``real``) must stay >= 0."""
+        out = np.where(t == s, value, value + (t - s))
+        if not (out[real] >= 0.0).all():
+            raise InvalidParams("abstract-real states must be >= 0")
+        return out
+
 
 # ---------------------------------------------------------------------------
 # cocycles (all diagonal; log_diag returns per-entry log magnitudes)
@@ -88,6 +101,13 @@ class HumpIntegralCocycle:
         i = self.base_integral(x.value, t - s)
         return [c * i for c in self.coeffs]
 
+    @array_form(log_diag)
+    def log_diag_array(self, t, s, theta):
+        h = t - s
+        i = np.where(np.isinf(theta), self.l * h,
+                     self.l * h + apply(math.atan, theta + h) - apply(math.atan, theta))
+        return np.multiply.outer(self.coeffs, i)
+
 
 class DecayingShiftCocycle:
     """Scalar exp(-mu (t-s) + integral of the translate of 1/(1+u)).
@@ -106,6 +126,14 @@ class DecayingShiftCocycle:
             return [-self.mu * h]
         return [-self.mu * h + math.log1p(theta + h) - math.log1p(theta)]
 
+    @array_form(log_diag)
+    def log_diag_array(self, t, s, theta):
+        h = t - s
+        inf = np.isinf(theta)
+        theta = np.where(inf, 0.0, theta)
+        return np.where(inf, -self.mu * h,
+                        -self.mu * h + apply(math.log1p, theta + h) - apply(math.log1p, theta))[None]
+
 
 class BoundedRatioCocycle:
     """Scalar f(x) / f(t-s+x) with f(u) = c - (c-1) e^{-u} (values in [1, c))."""
@@ -113,12 +141,16 @@ class BoundedRatioCocycle:
     def __init__(self, c):
         self.c = float(c)
 
-    def _log_f(self, u):
-        return math.log(self.c - (self.c - 1.0) * math.exp(-u))
+    def _log_f(self, u, on=lambda f, u: f(u)):
+        return on(math.log, self.c - (self.c - 1.0) * on(math.exp, -u))
 
     def log_diag(self, t, s, x):
         u = x.value
         return [self._log_f(u) - self._log_f(u + (t - s))]
+
+    @array_form(log_diag)
+    def log_diag_array(self, t, s, theta):
+        return (self._log_f(theta, apply) - self._log_f(theta + (t - s), apply))[None]
 
 
 class OscillatingDecayCocycle:
@@ -126,6 +158,10 @@ class OscillatingDecayCocycle:
 
     def log_diag(self, t, s, x):
         return [t * math.sin(t) - s * math.sin(s) - 2.0 * (t - s)]
+
+    @array_form(log_diag)
+    def log_diag_array(self, t, s, theta):
+        return (t * apply(math.sin, t) - s * apply(math.sin, s) - 2.0 * (t - s))[None]
 
 
 class SpikeCocycle:
@@ -141,6 +177,9 @@ class SpikeCocycle:
 
     def __init__(self, nodes):
         self.nodes = int(nodes)
+        # window widths by node, as _log_f computes them; 0.0 off the nodes
+        self._widths = np.array([(n + math.exp(-float(n) ** 2)) - n if 1 <= n <= self.nodes else 0.0
+                                 for n in range(self.nodes + 1)])
 
     def _log_f(self, s):
         n = math.floor(s)
@@ -158,6 +197,25 @@ class SpikeCocycle:
 
     def log_diag(self, t, s, x):
         return [self._log_f(s) - self._log_f(t) - (t - s)]
+
+    def _log_f_array(self, s):
+        n = np.floor(s)
+        out = 2.0 * s
+        i = np.flatnonzero((n >= 1) & (n <= self.nodes))
+        if i.size:
+            n, d = n[i], s[i] - n[i]
+            w = self._widths[n.astype(int)]
+            win = w > 0.0
+            safe = np.where(win, w, 0.5)  # the values at w = 0 are discarded
+            out[i] = np.where(d <= 0.0, 2.0 * n, np.where(
+                win, np.where(d <= w, 2.0 * n * (1.0 - d / safe), 2.0 * (n + 1) * (d - w) / (1.0 - w)),
+                2.0 * (n + 1) * d))
+        return out
+
+    @array_form(log_diag)
+    def log_diag_array(self, t, s, theta):
+        f_s, f_t = self._log_f_array(np.concatenate([s, t])).reshape(2, -1)
+        return (f_s - f_t - (t - s))[None]
 
 
 class DeclarativeCocycle:
@@ -180,15 +238,16 @@ class DeclarativeCocycle:
         self.scales = scales or [1.0] * len(entries)
 
     @staticmethod
-    def _term(kind, coef, t):
+    def _term(kind, coef, t, on=lambda f, t: f(t)):
+        """One term at t; ``on`` applies a math function (``core.apply`` for arrays)."""
         if kind == "linear":
             return coef * t
         if kind == "tsin":
-            return coef * t * math.sin(t)
+            return coef * t * on(math.sin, t)
         if kind == "log1p":
-            return coef * math.log1p(t)
+            return coef * on(math.log1p, t)
         if kind == "sin":
-            return coef * math.sin(t)
+            return coef * on(math.sin, t)
         raise InvalidParams(f"unknown term kind {kind!r}")
 
     def log_diag(self, t, s, x):
@@ -200,6 +259,17 @@ class DeclarativeCocycle:
                 g -= self._term(term["kind"], term["coef"], s)
             out.append(g)
         return out
+
+    @array_form(log_diag)
+    def log_diag_array(self, t, s, theta):
+        out = []
+        for terms, scale in zip(self.entries, self.scales):
+            g = np.full(t.shape, math.log(scale))
+            for term in terms:
+                g = g + self._term(term["kind"], float(term["coef"]), t, apply)
+                g = g - self._term(term["kind"], float(term["coef"]), s, apply)
+            out.append(g)
+        return np.array(out).reshape(len(out), t.size)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +439,12 @@ def build_custom(spec: dict) -> System:
     ``lag_max``, ``tail_cap``, ``ground_truth``.
     """
     entries = spec.get("entries")
-    if not entries:
-        raise InvalidParams("custom system needs a nonempty 'entries' list")
+    if not (entries and isinstance(entries, list) and all(isinstance(terms, list) for terms in entries)):
+        raise InvalidParams("custom system needs a nonempty 'entries' list of term lists")
     for terms in entries:
         for term in terms:
+            if not isinstance(term, dict):
+                raise InvalidParams(f"each term must be an object, got {term!r}")
             if term.get("kind") not in DeclarativeCocycle.KINDS:
                 raise InvalidParams(f"unknown term kind {term.get('kind')!r}")
             if "coef" not in term:

@@ -8,6 +8,7 @@ validated on a grid rather than proved.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,27 @@ class Gauge:
         xs, ys = self.nodes
         return float(np.interp(t, xs, ys))
 
+    def array(self, t: np.ndarray) -> np.ndarray:
+        """The gauge on every element of a float array, bit-identical to the scalar call.
+
+        The power gauge raises with Python's ``**`` element by element
+        (``np.power`` rounds differently); a power beyond float range is nan,
+        as the integrands mark an exponential beyond it.
+        """
+        if (t < 0.0).any():
+            raise InvalidGauge(f"gauge argument must be >= 0, got {t[np.argmax(t < 0.0)]}")
+        if self.kind == "identity":
+            return t
+        if self.kind == "power":
+            try:
+                return np.fromiter(map(pow, t.tolist(), [self.p] * t.size), float, t.size)
+            except OverflowError:
+                return np.array([_pow_or_nan(x, self.p) for x in t.tolist()], dtype=float)
+        if self.kind == "saturating":
+            return t / (self.c + t)
+        xs, ys = self.nodes
+        return np.interp(t, xs, ys)
+
     def describe(self) -> str:
         if self.kind == "identity":
             return "identity"
@@ -45,6 +67,13 @@ class Gauge:
         if self.kind == "saturating":
             return f"sat:{self.c:g}"
         return f"table[{len(self.nodes[0])}]"
+
+
+def _pow_or_nan(x: float, p: float) -> float:
+    try:
+        return x ** p
+    except OverflowError:
+        return math.nan
 
 
 @dataclass(frozen=True)

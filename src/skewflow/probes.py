@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import System, log_norm_path
+import numpy as np
+
+from .core import States, System, log_abs, log_norms
 
 # dense coverage of short lags, then geometric coverage out to the cap
 _LAG_BASE = (
@@ -43,8 +46,9 @@ def t0_grid(s_max: float) -> list:
     return [float(i) for i in range(int(math.floor(s_max)) + 1)]
 
 
-@dataclass(frozen=True)
-class RatioProbe:
+class RatioProbe(NamedTuple):
+    """One ratio probe; a run makes tens of thousands, so it is a light tuple."""
+
     t: float
     s: float
     t0: float
@@ -87,9 +91,7 @@ def ratio_data(
         svals = s_grid(h.s_max, s_step)
         offsets = _OFFSETS
 
-    samples = [(v, log_norm_path(system, v)) for v in system.vector_samples]
-    probes = []
-    skipped = 0
+    rows = []  # (s, t0, x, v), each evaluated at t = s and over the lag grid
     seen = set()
     for s in svals:
         for off in offsets:
@@ -100,23 +102,42 @@ def ratio_data(
             if key in seen:
                 continue
             seen.add(key)
-            for x in system.state_samples:
-                for v, log_norm in samples:
-                    ln_s = log_norm(s, t0, x)
-                    if ln_s == float("-inf"):
-                        skipped += 1
-                        continue
-                    for lag in lags:
-                        t = s + lag
-                        ln_t = log_norm(t, t0, x)
-                        probes.append(RatioProbe(t, s, t0, x, v, lag, ln_t - ln_s))
-    if not integer_only:
-        for t, s in h.extra_pairs:
-            for x in system.state_samples:
-                for v, log_norm in samples:
-                    ln_t = log_norm(t, s, x)
-                    probes.append(RatioProbe(t, s, s, x, v, t - s, ln_t))
+            rows += [(s, t0, x, v) for x in system.state_samples for v in system.vector_samples]
+    extra = [] if integer_only else [(t, s, x, v) for t, s in h.extra_pairs
+                                     for x in system.state_samples for v in system.vector_samples]
+    probes = []
+    skipped = 0
+    offs = np.array([0.0] + lags)
+    times: dict = {}
+    # rows in blocks of about 2048 evaluations, so no temporary grows with the grid
+    step = max(1, 2048 // len(offs))
+    for j in range(0, len(rows), step):
+        block = rows[j:j + step]
+        s0 = np.array([r[0] for r in block])
+        ln = _log_norms(system, block, (s0[:, None] + offs).ravel(), len(offs))
+        ratios = ln[:, 1:] - ln[:, :1]
+        for (s, t0, x, v), row, usable in zip(block, ratios.tolist(), (ln[:, 0] != -np.inf).tolist()):
+            if not usable:
+                skipped += 1
+                continue
+            ts = times.setdefault(s, [s + lag for lag in lags])  # shared by every probe at s
+            probes += [RatioProbe(ti, s, t0, x, v, lag, r) for ti, lag, r in zip(ts, lags, row)]
+    if extra:
+        ln = _log_norms(system, extra, np.array([r[0] for r in extra]), 1)
+        probes += [RatioProbe(t, s, s, x, v, t - s, ln_t) for (t, s, x, v), ln_t in zip(extra, ln[:, 0].tolist())]
     return RatioData(tuple(probes), skipped)
+
+
+def _log_norms(system: System, rows, t: np.ndarray, per_row: int) -> np.ndarray:
+    """log ||Phi(t, t0, x) v|| for the rows (., t0, x, v), at per_row times each, one row per line."""
+    def each(values):
+        return np.repeat(np.array(values), per_row, axis=-1)
+
+    states = States.of([r[2] for r in rows])
+    lw = np.stack([log_abs(r[3]) for r in rows], axis=1)
+    ln = log_norms(system, t, each([r[1] for r in rows]),
+                   States(each(states.value), each(states.real)), each(lw))
+    return ln.reshape(len(rows), per_row)
 
 
 def tail_probes(system: System) -> list:

@@ -9,19 +9,24 @@ divergence witnesses.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
+    States,
     System,
     dual_norm,
     evolve,
-    log_norm_path,
-    log_operator_norm,
-    log_vector_norm,
+    exp_or_nan,
+    log_abs,
+    log_norms,
     vec_norm,
 )
-from .errors import BudgetExceeded, DegenerateProbe, MissingGrowthEnvelope, NonFinite
+from .errors import BudgetExceeded, DegenerateProbe, MissingGrowthEnvelope
 from .gauges import Gauge
 from .growth import GrowthEnvelope
 from .probes import (
@@ -32,7 +37,7 @@ from .probes import (
     s_grid,
     tail_probes,
 )
-from .quadrature import integrate_finite, integrate_tail, sum_tail
+from .quadrature import series, simpson, tails
 from .reports import (
     FAIL,
     INCONCLUSIVE,
@@ -46,6 +51,9 @@ from .reports import (
 )
 
 NU_LADDER = tuple(2.0 ** k for k in range(-4, 4))
+
+# blocks or terms of one tail integrated ahead in a round (see quadrature.tails)
+AHEAD = 64
 
 HALF_DECAY_THRESHOLD = 0.5  # fixed by the half-decay characterization
 MINORANT_FACTOR = 1e3
@@ -193,24 +201,20 @@ def test_half_decay(
         deltas = [round(1.1 + 0.1 * k, 10) for k in range(int(round((delta_max - 1.1) / 0.1)) + 1)]
     else:
         deltas = [float(k) for k in range(1, int(delta_max) + 1)]
-    svals = s_grid(system.horizons.s_max)
     log_half = math.log(HALF_DECAY_THRESHOLD)
+    vectors = system.vector_samples if mode == "continuous" else (None,)
+    grid = [(s, x, v) for s in s_grid(system.horizons.s_max) for x in system.state_samples
+            for v in vectors]
+    svals = np.array([s for s, _, _ in grid])
+    states = States.of([x for _, x, _ in grid])
+    lw = None if mode != "continuous" else np.stack([log_abs(v) for _, _, v in grid], axis=1)
 
     def sup_at(delta):
-        worst_val = -math.inf
-        worst = None
-        for s in svals:
-            for x in system.state_samples:
-                if mode == "continuous":
-                    for v in system.vector_samples:
-                        ln = log_vector_norm(system, s + delta, s, x, v)
-                        if ln > worst_val:
-                            worst_val, worst = ln, (s, x, v)
-                else:
-                    ln = log_operator_norm(system, s + delta, s, x)
-                    if ln > worst_val:
-                        worst_val, worst = ln, (s, x, None)
-        return worst_val, worst
+        ln = log_norms(system, svals + delta, svals, states, lw)
+        i = int(np.argmax(np.where(np.isnan(ln), -math.inf, ln)))
+        if not ln[i] > -math.inf:
+            return -math.inf, None
+        return float(ln[i]), grid[i]
 
     for delta in deltas:
         val, _ = sup_at(delta)
@@ -269,22 +273,30 @@ class Skipped:
         return f"{self.cause}-limited probe"
 
 
-def _with_halving(run, a: float, horizon: float):
-    """run(horizon), halving the horizon beyond a on overflow or an exhausted budget.
+def _with_halving(run, a, horizon):
+    """run(idx, horizons) on the probes idx, halving beyond a_i the horizon of each that overflowed or ran out of budget.
 
     Either means the horizon was too long for the integrand's range, so the
-    divergence signal is recovered at the largest finite horizon.  Skipped
-    when no horizon longer than 2 fits, naming the last failure (or the
-    horizon itself when none was tried).
+    divergence signal is recovered at the largest finite horizon; only the
+    probes that failed run again.  A probe is Skipped when no horizon longer
+    than 2 fits, naming its last failure (or the horizon itself when none
+    was tried).
     """
-    skipped = Skipped("horizon")
-    while horizon > a + 2.0:
-        try:
-            return run(horizon)
-        except (NonFinite, BudgetExceeded) as exc:
-            skipped = Skipped.after(exc)
-            horizon = a + (horizon - a) / 2.0
-    return skipped
+    out = [Skipped("horizon")] * len(a)
+    h = list(horizon)
+    todo = [i for i in range(len(a)) if h[i] > a[i] + 2.0]
+    while todo:
+        again = []
+        for i, r in zip(todo, run(np.array(todo), [h[i] for i in todo])):
+            if isinstance(r, Exception):
+                out[i] = Skipped.after(r)
+                h[i] = a[i] + (h[i] - a[i]) / 2.0
+                if h[i] > a[i] + 2.0:
+                    again.append(i)
+            else:
+                out[i] = r
+        todo = again
+    return out
 
 
 def _norm_class(w):
@@ -299,6 +311,33 @@ def _norm_class(w):
     return None if cls == (1.0,) else cls
 
 
+def _memoized(memo: dict, keys: list, compute):
+    """(position, memo[key]) for each key in order, computing the missing ones in batches.
+
+    ``compute(positions)`` returns the results for those keys.  A batch
+    holds the next 1, 1, 2, 4, ... distinct missing keys, so a caller that
+    stops at its k-th probe has computed fewer than 2k.
+    """
+    sizes = itertools.chain([1], (2 ** i for i in itertools.count()))
+    for i, key in enumerate(keys):
+        if key not in memo:
+            size, batch = next(sizes), {}
+            for j in range(i, len(keys)):
+                if keys[j] not in memo and keys[j] not in batch:
+                    batch[keys[j]] = j
+                    if len(batch) == size:
+                        break
+            memo.update(zip(batch, compute(list(batch.values()))))
+        yield i, memo[key]
+
+
+def _logs(vectors):
+    """log|w| of each probe vector as the columns of a (d, n) array; None for the induced norm."""
+    if vectors[0] is None:
+        return None
+    return np.stack([log_abs(w) for w in vectors], axis=1)
+
+
 def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
                   alpha: float = 0.0, first: int = 1):
     """Forward tails of R(e^{alpha (s - t0)} ||Phi(s,t0,x)v||), one per tail probe.
@@ -308,41 +347,46 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
     The operator form uses the induced norm, which does not depend on v, so
     it keeps one probe per (t0, x).  Continuous tails run from t0 to the
     horizon cap; discrete sums run over n >= floor(t0) + first, with as many
-    terms as the cap.  Each distinct tail is computed once per system.
+    terms as the cap.  Each distinct tail is computed once per system, and
+    the missing ones are computed together (see ``_memoized``).
     """
     cap = min(config.tmax, system.horizons.tail_cap)
     lead = system.vector_samples[0]
+    probes = [(t0, x, v) for t0, x, v in tail_probes(system) if form == "vector" or v is lead]
+    keys = [(t0, x, _norm_class(v if form == "vector" else None)) for t0, x, v in probes]
     # keyed by everything the integrand and the quadrature read
     memo = system.memo.setdefault(
         ("tail", time, gauge, alpha, first if time == "discrete" else None,
          cap, config.tol, config.eval_cap), {})
-    exp = math.exp
 
-    def tail(t0, x, v):
-        log_norm = log_norm_path(system, v if form == "vector" else None)
+    def compute(positions):
+        t0s = np.array([probes[p][0] for p in positions])
+        states = States.of([probes[p][1] for p in positions])
+        lw = _logs([probes[p][2] if form == "vector" else None for p in positions])
 
-        def integrand(sigma):
-            return gauge(exp(alpha * (sigma - t0) + log_norm(sigma, t0, x)))
+        def integrand(sigma, k):
+            t0 = t0s[k]
+            ln = log_norms(system, sigma, t0, States(states.value[k], states.real[k]),
+                           None if lw is None else lw[:, k])
+            return gauge.array(exp_or_nan(alpha * (sigma - t0) + ln))
+
+        def on(idx):
+            return lambda x, k: integrand(x, idx[k])
 
         if time == "continuous":
             return _with_halving(
-                lambda h: integrate_tail(integrand, t0, config.tol, h, eval_cap=config.eval_cap),
-                t0, cap,
+                lambda idx, h: tails(on(idx), t0s[idx], h, config.tol, config.eval_cap, window=AHEAD),
+                t0s.tolist(), [cap] * len(positions),
             )
-        n0 = math.floor(t0) + first
+        n0 = [math.floor(t0) + first for t0 in t0s.tolist()]
         return _with_halving(
-            lambda h: sum_tail(lambda k: integrand(float(k)), n0, config.tol, int(h - n0)),
-            n0, n0 + int(cap),
+            lambda idx, h: series(on(idx), [n0[i] for i in idx], config.tol,
+                                  [int(hi - n0[i]) for i, hi in zip(idx, h)], window=AHEAD),
+            n0, [n + int(cap) for n in n0],
         )
 
-    for t0, x, v in tail_probes(system):
-        if form == "operator" and v is not lead:
-            continue
-        key = (t0, x, _norm_class(v if form == "vector" else None))
-        result = memo.get(key)
-        if result is None:
-            result = memo[key] = tail(t0, x, v)
-        yield t0, x, v, result
+    for i, result in _memoized(memo, keys, compute):
+        yield (*probes[i], result)
 
 
 def backward_integrals(system: System, time: str, gauge: Gauge, config,
@@ -351,43 +395,46 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
 
     Yields (t, t0, x, vstar, value) in probe order, where value is Skipped
     when the integral overflowed or ran out of budget.  Discrete time sums
-    over the integers s = t0, ..., t instead.  With ``operator`` the induced
-    norm of Phi(t,s,phi(s,t0,x)) replaces the dual vector norm, with one
-    probe per (t, t0, x) and vstar None.  Each distinct integral is computed
-    once per system.
+    over the integers s = t0, ..., t instead; a term that overflowed (nan)
+    skips its sum.  With ``operator`` the induced norm of
+    Phi(t,s,phi(s,t0,x)) replaces the dual vector norm, with one probe per
+    (t, t0, x) and vstar None.  Each distinct integral is computed once per
+    system, and the missing ones are computed together (see ``_memoized``).
     """
-    duals = [(w, _norm_class(w), log_norm_path(system, w, dual=True))
-             for w in ((None,) if operator else system.dual_samples)]
+    pairs = backward_pairs(system) if time == "continuous" else discrete_pairs(system)
+    probes = [(t, t0, x, w) for t, t0 in pairs for x in system.state_samples
+              for w in ((None,) if operator else system.dual_samples)]
+    keys = [(t, t0, x, _norm_class(w)) for t, t0, x, w in probes]
     memo = system.memo.setdefault(
         ("adjoint", time, gauge, alpha, config.tol, config.eval_cap), {})
-    exp = math.exp
 
-    def adjoint(t, t0, x, log_norm):
-        end, start = float(t), float(t0)
+    def compute(positions):
+        ends = np.array([float(probes[p][0]) for p in positions])
+        starts = np.array([float(probes[p][1]) for p in positions])
+        states = States.of([probes[p][2] for p in positions])
+        lw = _logs([probes[p][3] for p in positions])
 
-        def integrand(s):
-            y = evolve(system, s, start, x)
-            return gauge(exp(alpha * (end - s) + log_norm(end, s, y)))
+        def integrand(s, k):
+            end = ends[k]
+            y = evolve(system, s, starts[k], States(states.value[k], states.real[k]))
+            ln = log_norms(system, end, s, y, None if lw is None else lw[:, k], dual=True)
+            return gauge.array(exp_or_nan(alpha * (end - s) + ln))
 
-        try:
-            if time == "continuous":
-                return integrate_finite(integrand, t0, t, config.tol, eval_cap=config.eval_cap).value
-            value = 0.0
-            for k in range(t0, t + 1):
-                value += integrand(float(k))
-            return value
-        except (NonFinite, BudgetExceeded, OverflowError) as exc:
-            return Skipped.after(exc)
+        if time == "continuous":
+            results = simpson(integrand, starts, ends, [config.tol] * len(positions),
+                              [config.eval_cap] * len(positions))
+            return [r.value if not isinstance(r, Exception) else Skipped.after(r) for r in results]
+        spans = [range(probes[p][1], probes[p][0] + 1) for p in positions]
+        k = np.repeat(np.arange(len(spans)), [len(r) for r in spans])
+        with np.errstate(all="ignore"):
+            terms = iter(integrand(np.array([float(n) for r in spans for n in r]), k).tolist())
+        sums = [[next(terms) for _ in r] for r in spans]
+        return [Skipped("overflow") if any(map(math.isnan, part)) else functools.reduce(float.__add__, part, 0.0)
+                for part in sums]
 
-    pairs = backward_pairs(system) if time == "continuous" else discrete_pairs(system)
-    for t, t0 in pairs:
-        for x in system.state_samples:
-            for vstar, cls, log_norm in duals:
-                key = (t, t0, x, cls)
-                value = memo.get(key)
-                if value is None:
-                    value = memo[key] = adjoint(t, t0, x, log_norm)
-                yield t, t0, x, vstar, value
+    for i, value in _memoized(memo, keys, compute):
+        t, t0, x, w = probes[i]
+        yield t, t0, x, w, value
 
 
 def divergence_witness(t0, x, v, result) -> dict:

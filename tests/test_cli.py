@@ -324,6 +324,31 @@ class TestConfigValidation:
         assert doc["error"].startswith(error)
 
 
+class TestMalformedEntries:
+    """A custom system's entries must be a nonempty list of lists of term objects."""
+
+    @pytest.mark.parametrize("entries", [[1], [[1]], "ab"], ids=["not-lists", "term-not-object", "string"])
+    def test_malformed_entries_exit_2(self, tmp_path, entries):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_system": {"entries": entries}}))
+        code, text = run_cli(["classify", "--config", str(cfg)])
+        assert code == 2
+        doc = json.loads(text)
+        validate(doc)
+        assert doc["error"].startswith("InvalidParams: ")
+
+    def test_an_unforeseen_error_is_a_json_error_document_with_exit_2(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("no check foresaw this")
+
+        monkeypatch.setattr("skewflow.cli.run_nonuniform_panel", broken)
+        code, text = run_cli(["classify", "--system", "scalar_decay"])
+        assert code == 2
+        doc = json.loads(text)
+        validate(doc)
+        assert doc["error"] == "ZeroDivisionError: no check foresaw this"
+
+
 class TestStarvedRuns:
     """A budget- or horizon-limited band is no detector result, so never a contradiction."""
 

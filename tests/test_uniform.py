@@ -512,3 +512,40 @@ class TestSkippedCause:
         causes = {val.cause for *_, val in uniform.backward_integrals(s, "continuous", IDENTITY, starved)
                   if isinstance(val, Skipped)}
         assert causes == {"budget"}
+
+
+class TestEarlyExitsStayCheap:
+    """A criterion that stops at its k-th probe has its integrals computed in batches of 1, 1, 2, 4, ...
+
+    so fewer than 2k of them: each memo setting holds fewer than twice the
+    entries that one probe at a time computed (the counts below).
+    """
+
+    ONE_AT_A_TIME = {
+        ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-1"): {
+            ("tail", "continuous", 0.0): 1, ("tail", "discrete", 0.0): 1,
+            ("adjoint", "continuous", 0.0): 9, ("adjoint", "discrete", 0.0): 9,
+            ("tail", "continuous", 0.5): 1, ("tail", "discrete", 0.5): 1,
+            ("adjoint", "continuous", 0.5): 13, ("adjoint", "discrete", 0.5): 13,
+        },
+        ("classify", "--system", "bounded_ratio"): {
+            ("tail", "continuous", 0.0): 1, ("tail", "discrete", 0.0): 1,
+            ("adjoint", "continuous", 0.0): 126, ("adjoint", "discrete", 0.0): 168,
+            ("tail", "continuous", 0.5): 1, ("tail", "discrete", 0.5): 1,
+            ("adjoint", "continuous", 0.5): 13, ("adjoint", "discrete", 0.5): 19,
+        },
+    }
+
+    @pytest.mark.parametrize("argv", list(ONE_AT_A_TIME), ids=" ".join)
+    def test_each_memo_holds_fewer_than_twice_the_entries(self, monkeypatch, argv):
+        built = []
+        build = gallery.build
+        monkeypatch.setattr(gallery, "build", lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+        with redirect_stdout(io.StringIO()):
+            main(list(argv))
+        (system,) = built
+        counts = {(key[0], key[1], key[3]): len(entries) for key, entries in system.memo.items()}
+        expected = self.ONE_AT_A_TIME[argv]
+        assert counts.keys() == expected.keys()
+        for setting, n in expected.items():
+            assert counts[setting] < 2 * n, setting
