@@ -15,14 +15,14 @@ underflow.  There is one evaluation path, on arrays of time pairs and
 states: a cocycle may declare an array form of ``log_diag`` (see
 ``array_form``), and one that does not is served by mapping ``log_diag``
 over the elements.  Transcendental functions run element by element on
-``math``, so every value is bit-identical to the scalar formula's.
+``math``, so every value is bit-identical to the scalar formula's, and an
+overflow raises ``OverflowError`` as it does there.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -37,7 +37,6 @@ NORMS = ("L1", "L2", "Linf")
 _DUAL = {"L1": "Linf", "L2": "L2", "Linf": "L1"}
 
 _NEG_INF = float("-inf")
-_LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
 def check_time_pair(t: float, s: float) -> None:
@@ -56,19 +55,9 @@ def check_time_pairs(t: np.ndarray, s: np.ndarray) -> None:
 def apply(f, a: np.ndarray) -> np.ndarray:
     """The scalar function f (from ``math``) on every element of a float array."""
     flat = a.ravel()
-    if flat.size <= 1024:
-        return np.fromiter(map(f, flat.tolist()), float, flat.size).reshape(a.shape)
     # converted to Python floats 1024 at a time, so no long list of them is ever held
     values = itertools.chain.from_iterable(flat[i:i + 1024].tolist() for i in range(0, flat.size, 1024))
     return np.fromiter(map(f, values), float, flat.size).reshape(a.shape)
-
-
-def exp_or_nan(a: np.ndarray) -> np.ndarray:
-    """math.exp on every element; nan where it overflows, so no gauge can make the value finite."""
-    try:
-        return apply(math.exp, a)
-    except OverflowError:
-        return apply(lambda x: math.exp(x) if x <= _LOG_MAX or x == math.inf else math.nan, a)
 
 
 def array_form(scalar):

@@ -8,7 +8,6 @@ validated on a grid rather than proved.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +41,15 @@ class Gauge:
         """The gauge on every element of a float array, bit-identical to the scalar call.
 
         The power gauge raises with Python's ``**`` element by element
-        (``np.power`` rounds differently); a power beyond float range is nan,
-        as the integrands mark an exponential beyond it.
+        (``np.power`` rounds differently), so a power beyond float range
+        raises ``OverflowError`` as the scalar call does.
         """
         if (t < 0.0).any():
             raise InvalidGauge(f"gauge argument must be >= 0, got {t[np.argmax(t < 0.0)]}")
         if self.kind == "identity":
             return t
         if self.kind == "power":
-            try:
-                return np.fromiter(map(pow, t.tolist(), [self.p] * t.size), float, t.size)
-            except OverflowError:
-                return np.array([_pow_or_nan(x, self.p) for x in t.tolist()], dtype=float)
+            return np.fromiter(map(pow, t.tolist(), [self.p] * t.size), float, t.size)
         if self.kind == "saturating":
             return t / (self.c + t)
         xs, ys = self.nodes
@@ -67,13 +63,6 @@ class Gauge:
         if self.kind == "saturating":
             return f"sat:{self.c:g}"
         return f"table[{len(self.nodes[0])}]"
-
-
-def _pow_or_nan(x: float, p: float) -> float:
-    try:
-        return x ** p
-    except OverflowError:
-        return math.nan
 
 
 @dataclass(frozen=True)

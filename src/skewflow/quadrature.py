@@ -1,8 +1,9 @@
 """Deterministic integration and series summation for the criterion panel.
 
 Each kernel runs a batch of integrals over one array integrand ``F(x, k)``,
-the values at points ``x`` of the integrals ``k``; ``F`` returns a
-non-finite value where it cannot represent one, and never raises for it.
+the values at points ``x`` of the integrals ``k``.  ``F`` may raise
+``OverflowError``, as ``math.exp`` does; ``evaluate`` then finds the points
+that raise by bisection, and each of them counts as a non-finite value.
 
 Finite intervals use adaptive-bisection Simpson quadrature, refined level
 by level: one call of ``F`` per level evaluates the quarter points of every
@@ -59,6 +60,18 @@ class IntegralResult:
     truncation_horizon: float
 
 
+def evaluate(F, x: np.ndarray, k: np.ndarray):
+    """F(x, k), and where it raised OverflowError: those points are nan, found by bisection."""
+    try:
+        return F(x, k), np.zeros(x.size, dtype=bool)
+    except OverflowError:
+        if x.size == 1:
+            return np.full(1, np.nan), np.ones(1, dtype=bool)
+    h = x.size // 2
+    (y0, o0), (y1, o1) = evaluate(F, x[:h], k[:h]), evaluate(F, x[h:], k[h:])
+    return np.concatenate([y0, y1]), np.concatenate([o0, o1])
+
+
 def _first(k: np.ndarray, flagged: np.ndarray):
     """(integral, position) of the first flagged point of each integral."""
     first, at = np.unique(k[flagged], return_index=True)
@@ -72,47 +85,17 @@ def _evaluate(F, x, k, remaining, caps, errors):
     ``errors`` gets a BudgetExceeded for each integral cut short and a
     NonFinite for each that met a non-finite value.
     """
-    made = np.bincount(k, minlength=remaining.size)
-    if (made <= remaining).all():
-        y = F(x, k)
-        bad = ~np.isfinite(y)
-    else:
-        within = np.arange(k.size) - np.searchsorted(k, k) < remaining[k]
-        y = np.full(k.size, np.nan)
-        if within.any():
-            y[within] = F(x[within], k[within])
+    within = np.arange(k.size) - np.searchsorted(k, k) < remaining[k]
+    if not within.all():
         errors.update((i, BudgetExceeded(f"evaluation cap {caps[i]} reached")) for i in np.unique(k[~within]).tolist())
-        made = np.bincount(k[within], minlength=remaining.size)
-        bad = within & ~np.isfinite(y)
+    y, over = np.full(k.size, np.nan), np.zeros(k.size, dtype=bool)
+    if within.any():
+        y[within], over[within] = evaluate(F, x[within], k[within])
+    bad = within & ~np.isfinite(y)
     if bad.any():
-        errors.update((i, NonFinite(f"integrand returned {y[j]} at x={x[j]}")) for i, j in _first(k, bad))
-    return y, made
-
-
-def _slices(pieces: list):
-    """Consume the pieces, yielding their columns in order as matrices of about _SLICE columns.
-
-    No level is ever held twice, as one array and as its pieces.
-    """
-    pieces.reverse()
-    group, cols = [], 0
-    while pieces:
-        piece = pieces.pop()
-        for j in range(0, piece.shape[1], _SLICE):
-            group.append(piece[:, j:j + _SLICE])
-            cols += group[-1].shape[1]
-            if cols >= _SLICE:
-                yield np.concatenate(group, axis=1)
-                group, cols = [], 0
-    if group:
-        yield np.concatenate(group, axis=1)
-
-
-def _drain(pieces: list) -> np.ndarray:
-    """The pieces as one array; the list is emptied, so each piece is freed as it is copied."""
-    out = np.concatenate(pieces) if pieces else np.empty(0)
-    pieces.clear()
-    return out
+        for i, j in _first(k, bad):
+            errors[i] = NonFinite(f"integrand overflowed at x={x[j]}" if over[j] else f"integrand returned {y[j]} at x={x[j]}")
+    return y, np.bincount(k[within], minlength=remaining.size)
 
 
 def _overflowed(sums, ok, k, x0, x2, errors):
@@ -122,6 +105,23 @@ def _overflowed(sums, ok, k, x0, x2, errors):
         for i, j in _first(k, bad):
             if not isinstance(errors.get(i), NonFinite):
                 errors[i] = NonFinite(f"integral overflowed on [{x0[j]}, {x2[j]}]")
+
+
+def _pieces(m: np.ndarray) -> list:
+    """The columns of m in pieces of at most _SLICE, so no temporary grows with the batch."""
+    return [m[:, j:j + _SLICE] for j in range(0, m.shape[1], _SLICE)]
+
+
+def _slices(pieces: list):
+    """Consume the pieces of a level, yielding their columns in order, about _SLICE at a time."""
+    pieces.reverse()
+    group, cols = [], 0
+    while pieces:
+        group.append(pieces.pop())
+        cols += group[-1].shape[1]
+        if cols >= _SLICE or not pieces:
+            yield np.concatenate(group, axis=1)
+            group, cols = [], 0
 
 
 @np.errstate(all="ignore")
@@ -151,8 +151,8 @@ def simpson(F, a, b, tol, caps, rel_tol: float = 1e-9) -> list:
     min_width = (b - a) * 1e-13
     # pending segments as rows x0, x2, f(x0), f(mid), f(x2), Simpson sum, tol share,
     # integral index: grouped by integral and left to right, in pieces
-    level = [np.array([a[live], b[live], fa, fm, fb, whole, tol[live], live])]
-    done = ([], [], [], [])  # accepted integral indices, left ends, contributions, errors
+    level = _pieces(np.array([a[live], b[live], fa, fm, fb, whole, tol[live], live]))
+    done = [[np.empty(0)] for _ in range(4)]  # accepted integral indices, left ends, contributions, errors
     while level:
         children = []
         for seg in _slices(level):
@@ -161,17 +161,14 @@ def simpson(F, a, b, tol, caps, rel_tol: float = 1e-9) -> list:
             x0, x2, f0, f1, f2, s, seg_tol, kf = seg
             k = kf.astype(np.intp)
             mid = 0.5 * (x0 + x2)
-            pts = np.empty((2, k.size))
-            pts[0] = 0.5 * (x0 + mid)
-            pts[1] = 0.5 * (mid + x2)
-            y, made = _evaluate(F, pts.T.ravel(), np.repeat(k, 2), caps - n, caps, errors)
+            pts = np.stack([0.5 * (x0 + mid), 0.5 * (mid + x2)], axis=1).ravel()
+            y, made = _evaluate(F, pts, np.repeat(k, 2), caps - n, caps, errors)
             n += made
             flm, frm = y[0::2], y[1::2]
             sl = (mid - x0) / 6.0 * (f0 + 4.0 * flm + f1)
             sr = (x2 - mid) / 6.0 * (f1 + 4.0 * frm + f2)
             s2 = sl + sr
-            if not np.isfinite(s2).all():
-                _overflowed(s2, np.isfinite(flm) & np.isfinite(frm), k, x0, x2, errors)
+            _overflowed(s2, np.isfinite(flm) & np.isfinite(frm), k, x0, x2, errors)
             diff = s2 - s
             err = abs(diff) / 15.0
             accept = (err <= seg_tol + rel_tol * abs(s2)) | ((x2 - x0) <= min_width[k])
@@ -183,22 +180,21 @@ def simpson(F, a, b, tol, caps, rel_tol: float = 1e-9) -> list:
             child[:, 0::2] = parts[_LEFT]
             child[:, 1::2] = parts[_RIGHT]
             child[6] *= 0.5
-            if child.shape[1]:
-                children.append(child)
+            children += _pieces(child)
         level = children
-    k, x0, c, e = (_drain(store) for store in done)
+    # each integral's contributions in order of their left ends, added one at a time
+    # (ufunc.at adds in index order); each store is freed once it is joined
+    k, x0, c, e = [np.concatenate(done.pop(0)) for _ in range(4)]
     order = np.lexsort((x0, k))
     del x0
-    totals = [0.0] * a.size
-    err_totals = [0.0] * a.size
-    for j in range(0, k.size, 1024):  # sequential sums, with a bounded number of Python floats at a time
-        part = order[j:j + 1024]
-        for i, ci, ei in zip(k[part].astype(np.intp).tolist(), c[part].tolist(), e[part].tolist()):
-            totals[i] += ci
-            err_totals[i] += ei
+    k = k[order].astype(np.intp)
+    totals, err_totals = np.zeros(a.size), np.zeros(a.size)
+    np.add.at(totals, k, c[order])
+    np.add.at(err_totals, k, e[order])
     return [errors[i] if i in errors else
-            IntegralResult(totals[i], err_totals[i], err_totals[i] <= ti + rel_tol * abs(totals[i]), ni, bi)
-            for i, (bi, ti, ni) in enumerate(zip(b.tolist(), tol.tolist(), n.tolist()))]
+            IntegralResult(ti, ei, ei <= tol_i + rel_tol * abs(ti), ni, bi)
+            for i, (ti, ei, tol_i, ni, bi) in enumerate(zip(totals.tolist(), err_totals.tolist(), tol.tolist(),
+                                                             n.tolist(), b.tolist()))]
 
 
 def _settled(part, total, tol):
@@ -214,10 +210,11 @@ def tails(F, a, horizon_caps, tol: float, eval_cap: int = EVAL_CAP, block: float
     next blocks of every running tail in one ``simpson`` call: one each when
     ``window`` is 1, else 16, then twice as many each round up to
     ``window``, and no more than about _AHEAD_POINTS evaluations' worth at
-    the cost of the tail's dearest block so far, each with the budget left
-    before the round.  The blocks are then taken in order; one that spent
-    more than the budget truly left to it is integrated again with that
-    budget, and those past a tail's stop are dropped.
+    the cost of the tail's dearest block so far (a bound on the round's
+    arrays), each with the budget left before the round.  The blocks are
+    then taken in order; one that spent more than the budget truly left to
+    it is integrated again with that budget, and those past a tail's stop
+    are dropped.
     """
     a, caps = list(map(float, a)), list(map(float, horizon_caps))
     if not all(h > ai for ai, h in zip(a, caps)):
@@ -281,12 +278,12 @@ def series(F, n0, tol: float, caps, window: int = 1) -> list:
     ahead = min(window, 16)
     while active:
         plan = [(i, k[i] + j) for i in active for j in range(min(ahead, caps[i] - terms[i]))]
-        values = F(np.array([p[1] for p in plan], dtype=float), np.array([p[0] for p in plan]))
-        for (i, n), term in zip(plan, values.tolist()):
+        values, over = evaluate(F, np.array([p[1] for p in plan], dtype=float), np.array([p[0] for p in plan]))
+        for (i, n), term, raised in zip(plan, values.tolist(), over.tolist()):
             if out[i] is not None:
                 continue  # past this sum's stop
             if not math.isfinite(term):
-                out[i] = NonFinite(f"series term is {term} at n={n}")
+                out[i] = NonFinite(f"series term overflowed at n={n}" if raised else f"series term is {term} at n={n}")
                 continue
             total[i] += term
             if not math.isfinite(total[i]):
@@ -305,24 +302,9 @@ def series(F, n0, tol: float, caps, window: int = 1) -> list:
     return out
 
 
-def _pointwise(f, convert, overflow: str, returned: str):
-    """An array integrand calling the scalar f point by point; its first bad value is raised."""
-    def F(x, k):
-        out = []
-        for xi in map(convert, x.tolist()):
-            try:
-                y = float(f(xi))
-            except OverflowError:
-                raise NonFinite(overflow.format(xi))
-            if not math.isfinite(y):
-                raise NonFinite(returned.format(y, xi))
-            out.append(y)
-        return np.array(out)
-    return F
-
-
-def _one(results):
-    (r,) = results
+def _one(kernel, f, *args, convert=float) -> IntegralResult:
+    """A batch of one over the scalar f, called point by point: its result, or its error raised."""
+    (r,) = kernel(lambda x, k: np.array([float(f(v)) for v in map(convert, x.tolist())]), *args)
     if isinstance(r, Exception):
         raise r
     return r
@@ -331,18 +313,15 @@ def _one(results):
 def integrate_finite(f, a: float, b: float, tol: float, eval_cap: int = EVAL_CAP,
                      rel_tol: float = 1e-9) -> IntegralResult:
     """Adaptive Simpson estimate of the integral of a scalar f over [a, b] (see ``simpson``)."""
-    F = _pointwise(f, float, "integrand overflowed at x={}", "integrand returned {} at x={}")
-    return _one(simpson(F, [a], [b], [tol], [eval_cap], rel_tol))
+    return _one(simpson, f, [a], [b], [tol], [eval_cap], rel_tol)
 
 
 def integrate_tail(f, a: float, tol: float, horizon_cap: float, eval_cap: int = EVAL_CAP,
                    block: float = 1.0) -> IntegralResult:
     """Integral of a scalar f over [a, inf), truncated adaptively (see ``tails``)."""
-    F = _pointwise(f, float, "integrand overflowed at x={}", "integrand returned {} at x={}")
-    return _one(tails(F, [a], [horizon_cap], tol, eval_cap, block))
+    return _one(tails, f, [a], [horizon_cap], tol, eval_cap, block)
 
 
 def sum_tail(f, n0: int, tol: float, cap: int) -> IntegralResult:
     """Partial sum of f(n0) + f(n0+1) + ... for a scalar f (see ``series``)."""
-    F = _pointwise(f, int, "series term overflowed at n={}", "series term is {} at n={}")
-    return _one(series(F, [n0], tol, [cap]))
+    return _one(series, f, [n0], tol, [cap], convert=int)

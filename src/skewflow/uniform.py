@@ -19,9 +19,9 @@ import numpy as np
 from .core import (
     States,
     System,
+    apply,
     dual_norm,
     evolve,
-    exp_or_nan,
     log_abs,
     log_norms,
     vec_norm,
@@ -37,7 +37,7 @@ from .probes import (
     s_grid,
     tail_probes,
 )
-from .quadrature import series, simpson, tails
+from .quadrature import evaluate, series, simpson, tails
 from .reports import (
     FAIL,
     INCONCLUSIVE,
@@ -368,7 +368,7 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
             t0 = t0s[k]
             ln = log_norms(system, sigma, t0, States(states.value[k], states.real[k]),
                            None if lw is None else lw[:, k])
-            return gauge.array(exp_or_nan(alpha * (sigma - t0) + ln))
+            return gauge.array(apply(math.exp, alpha * (sigma - t0) + ln))
 
         def on(idx):
             return lambda x, k: integrand(x, idx[k])
@@ -395,8 +395,8 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
 
     Yields (t, t0, x, vstar, value) in probe order, where value is Skipped
     when the integral overflowed or ran out of budget.  Discrete time sums
-    over the integers s = t0, ..., t instead; a term that overflowed (nan)
-    skips its sum.  With ``operator`` the induced norm of
+    over the integers s = t0, ..., t instead; a term that overflowed skips
+    its sum.  With ``operator`` the induced norm of
     Phi(t,s,phi(s,t0,x)) replaces the dual vector norm, with one probe per
     (t, t0, x) and vstar None.  Each distinct integral is computed once per
     system, and the missing ones are computed together (see ``_memoized``).
@@ -418,7 +418,7 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
             end = ends[k]
             y = evolve(system, s, starts[k], States(states.value[k], states.real[k]))
             ln = log_norms(system, end, s, y, None if lw is None else lw[:, k], dual=True)
-            return gauge.array(exp_or_nan(alpha * (end - s) + ln))
+            return gauge.array(apply(math.exp, alpha * (end - s) + ln))
 
         if time == "continuous":
             results = simpson(integrand, starts, ends, [config.tol] * len(positions),
@@ -427,10 +427,11 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
         spans = [range(probes[p][1], probes[p][0] + 1) for p in positions]
         k = np.repeat(np.arange(len(spans)), [len(r) for r in spans])
         with np.errstate(all="ignore"):
-            terms = iter(integrand(np.array([float(n) for r in spans for n in r]), k).tolist())
-        sums = [[next(terms) for _ in r] for r in spans]
-        return [Skipped("overflow") if any(map(math.isnan, part)) else functools.reduce(float.__add__, part, 0.0)
-                for part in sums]
+            y, over = evaluate(integrand, np.array([float(n) for r in spans for n in r]), k)
+        # a term that raised OverflowError skips its sum; any other term is added, in order
+        return [Skipped("overflow") if over[j - len(r):j].any() else
+                functools.reduce(float.__add__, y[j - len(r):j].tolist(), 0.0)
+                for r, j in zip(spans, itertools.accumulate(map(len, spans)))]
 
     for i, value in _memoized(memo, keys, compute):
         t, t0, x, w = probes[i]

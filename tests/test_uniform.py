@@ -549,3 +549,54 @@ class TestEarlyExitsStayCheap:
         assert counts.keys() == expected.keys()
         for setting, n in expected.items():
             assert counts[setting] < 2 * n, setting
+
+
+class _Marked:
+    """e^{-(t-s)}; a nan log for a state at 1e6 or beyond, and an OverflowError at 2e6 or beyond."""
+
+    def log_diag(self, t, s, x):
+        if x.value >= 2e6:
+            return [math.exp(1000.0)]
+        return [math.nan if x.value >= 1e6 else -(t - s)]
+
+
+class TestOverflowInABatch:
+    """A point whose log_diag raises OverflowError fails only its own probe, as a non-finite value does.
+
+    The probes of the states 0, 1e6 and 2e6 share their batches; those of
+    state 0 keep the values they have without the other two.  A nan term
+    in a discrete adjoint sum is added like any other, so the sum is nan;
+    a term that raised skips the sum.
+    """
+
+    @staticmethod
+    def systems():
+        base = gallery.exponential_system(-1.0, lag_max=16.0)
+        states = tuple(dataclasses.replace(base.state_samples[0], value=v) for v in (0.0, 1e6, 2e6))
+        return (dataclasses.replace(base, cocycle=_Marked(), state_samples=states),
+                dataclasses.replace(base, cocycle=_Marked(), state_samples=states[:1]))
+
+    @pytest.mark.parametrize("time", ["continuous", "discrete"])
+    def test_forward_tails(self, time):
+        marked, alone = self.systems()
+        want = {t0: r for t0, _, _, r in uniform.forward_tails(alone, "vector", time, IDENTITY, RunConfig())}
+        got = list(uniform.forward_tails(marked, "vector", time, IDENTITY, RunConfig()))
+        assert {x.value for _, x, _, _ in got} == {0.0, 1e6, 2e6}
+        for t0, x, _, r in got:
+            assert r == (want[t0] if x.value == 0.0 else Skipped("overflow")), (t0, x)
+
+    @pytest.mark.parametrize("time", ["continuous", "discrete"])
+    def test_backward_integrals(self, time):
+        marked, alone = self.systems()
+        want = {(t, t0): v for t, t0, _, _, v in uniform.backward_integrals(alone, time, IDENTITY, RunConfig())}
+        got = list(uniform.backward_integrals(marked, time, IDENTITY, RunConfig()))
+        assert {x.value for _, _, x, _, _ in got} == {0.0, 1e6, 2e6}
+        for t, t0, x, _, v in got:
+            if x.value == 0.0:
+                assert v == want[t, t0]
+            elif time == "continuous" and t == t0:
+                assert v == 0.0  # an empty interval: no evaluation
+            elif x.value == 1e6 and time == "discrete":
+                assert isinstance(v, float) and math.isnan(v)
+            else:
+                assert v == Skipped("overflow"), (t, t0, x)
