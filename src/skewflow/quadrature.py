@@ -87,7 +87,7 @@ def _evaluate(F, x, k, remaining, caps, errors):
     """
     within = np.arange(k.size) - np.searchsorted(k, k) < remaining[k]
     if not within.all():
-        errors.update((i, BudgetExceeded(f"evaluation cap {caps[i]} reached")) for i in np.unique(k[~within]).tolist())
+        errors.update((i, BudgetExceeded(f"evaluation cap {caps[i]} reached")) for i in set(k[~within].tolist()))
     y, over = np.full(k.size, np.nan), np.zeros(k.size, dtype=bool)
     if within.any():
         y[within], over[within] = evaluate(F, x[within], k[within])
