@@ -29,7 +29,7 @@ from .errors import TimeOrderViolation
 from .gauges import make_gauge
 from .growth import estimate_growth, verify_growth
 from .nonuniform import run_nonuniform_panel
-from .probes import law_probes
+from .probes import law_probes, ratio_data
 from .reports import FAIL, PASS, TAG_COMPATIBLE, UES
 from .uniform import UES_CRITERIA, Skipped, test_datko
 
@@ -178,16 +178,15 @@ def cmd_axioms(args) -> int:
 def cmd_growth(args) -> int:
     cfg = _config_from_args(args)
     system = _build_system(cfg)
-    uni = estimate_growth(system, "uniform", grid_h=cfg.grid_h, s_step=cfg.grid_step)
-    non = estimate_growth(
-        system, "nonuniform", grid_h=cfg.grid_h, omega_const=cfg.omega_const, s_step=cfg.grid_step
-    )
+    data = ratio_data(system, lag_max=cfg.grid_h, s_step=cfg.grid_step)
+    uni = estimate_growth(system, "uniform", grid_h=cfg.grid_h, data=data)
+    non = estimate_growth(system, "nonuniform", grid_h=cfg.grid_h, data=data, omega_const=cfg.omega_const)
     doc = _base_doc("growth", cfg)
     doc["system"] = system.name
     doc["growth"] = {
         "uniform": uni.as_dict(),
         "nonuniform": non.as_dict(),
-        "uniform_verified": verify_growth(system, uni) is None,
+        "uniform_verified": verify_growth(system, uni, ratio_data(system, lag_max=10.0, within=data)) is None,
     }
     doc["exit_code"] = EXIT_OK
     _emit(doc, cfg.out)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ NORMS = ("L1", "L2", "Linf")
 _DUAL = {"L1": "Linf", "L2": "L2", "Linf": "L1"}
 
 _NEG_INF = float("-inf")
+_LOG_MAX = 709.782712893384  # the largest float whose exp is finite
 
 
 def check_time_pair(t: float, s: float) -> None:
@@ -212,9 +213,9 @@ def log_diags(system: System, t: np.ndarray, s: np.ndarray, x: States) -> np.nda
 def cocycle_matrix(system: System, t: float, s: float, x: StatePoint) -> np.ndarray:
     """Dense matrix value of the cocycle at (t, s, x)."""
     check_time_pair(t, s)
-    g = np.asarray(system.cocycle.log_diag(t, s, x), dtype=float)
-    with np.errstate(over="ignore"):
-        return np.diag(np.exp(g))
+    # math.exp per entry, so the matrix does not depend on the CPU; beyond float range, inf as numpy's exp gives
+    g = np.asarray(system.cocycle.log_diag(t, s, x), dtype=float).tolist()
+    return np.diag([math.inf if v > _LOG_MAX else math.exp(v) for v in g])
 
 
 def apply_cocycle(system: System, t: float, s: float, x: StatePoint, v) -> np.ndarray:
@@ -375,11 +376,7 @@ class LawReport:
     probes: int
 
     def as_dict(self) -> dict:
-        return {
-            "max_composition_dev": self.max_composition_dev,
-            "max_identity_dev": self.max_identity_dev,
-            "probes": self.probes,
-        }
+        return asdict(self)
 
 
 def check_semiflow_law(system: System, probes) -> LawReport:

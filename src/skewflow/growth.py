@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import System
 from .errors import DegenerateProbe
-from .probes import RatioData, ratio_data
+from .probes import Groups, RatioData, ratio_data
 
 OMEGA_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -44,15 +46,18 @@ class GrowthEnvelope:
         return d
 
 
-def _fit_bin(entries, cap: float):
-    """Least ladder omega whose M stays under the cap; falls back to the top rung."""
-    for omega in OMEGA_LADDER:
-        log_m = max(lr - omega * h for lr, h in entries)
-        if log_m <= math.log(cap):
-            return omega, max(1.0, math.exp(log_m)), False
-    omega = OMEGA_LADDER[-1]
-    log_m = max(lr - omega * h for lr, h in entries)
-    return omega, max(1.0, math.exp(min(log_m, 700.0))), True
+def _fit_bins(bins: Groups, log_ratio, lag, cap: float):
+    """Per bin: the least ladder omega whose M stays under the cap, its M, and whether the top rung stood in."""
+    todo = np.ones(len(bins.starts), dtype=bool)
+    omega, log_m = np.full(todo.size, OMEGA_LADDER[-1]), np.empty(todo.size)
+    for w in OMEGA_LADDER:
+        if todo.any():  # a bin no rung fits keeps the top rung's constant
+            a = log_ratio - w * lag
+            log_m[todo] = a[bins.argmax(a)][todo]
+            fit = todo & (log_m <= math.log(cap))
+            omega[fit] = w
+            todo &= ~fit
+    return omega.tolist(), [max(1.0, math.exp(min(x, 700.0))) for x in log_m.tolist()], todo.tolist()
 
 
 def estimate_growth(
@@ -61,38 +66,29 @@ def estimate_growth(
     grid_h: float = 10.0,
     data: RatioData | None = None,
     omega_const: bool = False,
-    s_step: float = 0.5,
 ) -> GrowthEnvelope:
     if data is None:
-        data = ratio_data(system, lag_max=grid_h, s_step=s_step)
-    entries = [(p.log_ratio, p.lag) for p in data.probes if p.lag <= grid_h]
-    if not entries:
+        data = ratio_data(system, lag_max=grid_h)
+    keep = data.lag <= grid_h
+    lr, lag, s = data.log_ratio[keep], data.lag[keep], data.s[keep]
+    if not lr.size:
         raise DegenerateProbe("no usable growth probes")
     if setting == "uniform":
-        omega, m, dubious = _fit_bin(entries, M_CAP_UNIFORM)
+        (omega,), (m,), (dubious,) = _fit_bins(Groups(np.zeros(lr.size)), lr, lag, M_CAP_UNIFORM)
         return GrowthEnvelope("uniform", M=m, omega=omega, dubious=dubious, skipped=data.skipped)
 
-    bins: dict = {}
-    for p in data.probes:
-        if p.lag <= grid_h:
-            bins.setdefault(p.s, []).append((p.log_ratio, p.lag))
-    m_by_s = {}
-    w_by_s = {}
-    dubious = False
-    for s, ent in sorted(bins.items()):
-        omega, m, bad = _fit_bin(ent, M_CAP_NONUNIFORM)
-        m_by_s[s] = m
-        w_by_s[s] = omega
-        dubious = dubious or bad
+    bins = Groups(s)
+    omegas, ms, bad = _fit_bins(bins, lr, lag, M_CAP_NONUNIFORM)
+    keys = bins.keys[0].tolist()
+    w_by_s, m_by_s = dict(zip(keys, omegas)), dict(zip(keys, ms))
     if omega_const:
-        top = max(w_by_s.values())
+        top = max(omegas)
         w_by_s = {s: top for s in w_by_s}
         # refit the constants under the collapsed rate
-        for s, ent in sorted(bins.items()):
-            log_m = max(lr - top * h for lr, h in ent)
-            m_by_s[s] = max(1.0, math.exp(min(log_m, 700.0)))
+        a = lr - top * lag
+        m_by_s = {s: max(1.0, math.exp(min(x, 700.0))) for s, x in zip(keys, a[bins.argmax(a)].tolist())}
     return GrowthEnvelope(
-        "nonuniform", M_by_s=m_by_s, omega_by_s=w_by_s, dubious=dubious, skipped=data.skipped
+        "nonuniform", M_by_s=m_by_s, omega_by_s=w_by_s, dubious=any(bad), skipped=data.skipped
     )
 
 
@@ -104,13 +100,13 @@ def verify_growth(system: System, env: GrowthEnvelope, data: RatioData | None = 
     """
     if data is None:
         data = ratio_data(system, lag_max=10.0)
-    slack = 1e-9
-    for p in data.probes:
-        if env.kind == "uniform":
-            bound = math.log(env.M) + env.omega * p.lag
-        else:
-            key = p.s if p.s in env.M_by_s else min(env.M_by_s, key=lambda s: abs(s - p.s))
-            bound = math.log(env.M_by_s[key]) + env.omega_by_s[key] * p.lag
-        if p.log_ratio > bound + slack:
-            return p
-    return None
+    if env.kind == "uniform":
+        bound = math.log(env.M) + env.omega * data.lag
+    else:
+        bins = Groups(data.s)
+        keys = [s if s in env.M_by_s else min(env.M_by_s, key=lambda k: abs(k - s))
+                for s in bins.keys[0].tolist()]
+        env_at = np.array([(math.log(env.M_by_s[k]), env.omega_by_s[k]) for k in keys]).reshape(-1, 2)[bins.code]
+        bound = env_at[:, 0] + env_at[:, 1] * data.lag
+    bad = np.flatnonzero(data.log_ratio > bound + 1e-9)
+    return data.probes[bad[0]] if bad.size else None

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import System, vec_norm
 from .errors import DegenerateProbe
 from .gauges import Gauge
-from .probes import RatioData, ratio_data
+from .probes import Groups, RatioData, ratio_data
 from .reports import (
     ES_NOT_UES,
     FAIL,
@@ -77,22 +79,15 @@ def fit_nonuniform_decay(
     """
     if data is None:
         data = ratio_data(system)
-    bins: dict = {}
-    for p in data.probes:
-        bins.setdefault(p.s, []).append(p)
-    if not bins:
+    if not len(data.probes):
         raise DegenerateProbe("no usable decay probes")
+    bins = Groups(data.s)
     log_cap = math.log(cap)
     for nu in sorted(nu_ladder, reverse=True):
-        table = {}
-        ok = True
-        for s, plist in sorted(bins.items()):
-            log_n = max(p.log_ratio + nu * p.lag for p in plist)
-            if log_n > log_cap:
-                ok = False
-                break
-            table[s] = max(1.0, math.exp(log_n))
-        if ok:
+        a = data.log_ratio + nu * data.lag
+        log_n = a[bins.argmax(a)]
+        if not (log_n > log_cap).any():
+            table = {s: max(1.0, math.exp(n)) for s, n in zip(bins.keys[0].tolist(), log_n.tolist())}
             return NonuniformDecayFit(nu, table, 0.0, len(data.probes))
     return None
 
@@ -112,13 +107,7 @@ def test_decaying_majorant(
     """
     if data is None:
         data = ratio_data(system)
-    bins: dict = {}
-    for p in data.probes:
-        bins.setdefault(p.s, {})
-        cur = bins[p.s].get(p.lag)
-        if cur is None or p.log_ratio > cur.log_ratio:
-            bins[p.s][p.lag] = p
-    lags = data.lags()
+    lags = Groups(data.lag).keys[0].tolist()
     if len(lags) < 2 or max(lags) < min_lag:
         return CriterionReport(
             "majorant",
@@ -126,18 +115,18 @@ def test_decaying_majorant(
             {"reason": "window grid too short", "max_lag": max(lags) if lags else 0.0},
             config_echo=echo or {},
         )
-    g_star: dict = {}
-    arg: dict = {}
-    for s, curve in bins.items():
-        h0 = min(curve)
-        norm = curve[h0].log_ratio
-        for h, p in curve.items():
-            val = p.log_ratio - norm
-            if h not in g_star or val > g_star[h]:
-                g_star[h] = val
-                arg[h] = p
-    hs = sorted(g_star)
-    vals = [g_star[h] for h in hs]
+    # each s-bin's curve: the largest ratio per lag, normalized by its value at the bin's least lag
+    cells = Groups(data.s, data.lag)
+    best = cells.argmax(data.log_ratio)
+    bins = Groups(cells.keys[0])  # each bin's cells in lag order
+    with np.errstate(all="ignore"):  # inf - inf is nan, as with Python floats, and no warning
+        val = data.log_ratio[best] - data.log_ratio[best[bins.starts]][bins.code]
+    # g*(h): the largest normalized ratio at lag h, over the bins in the order they first occur
+    by_bin = np.argsort(np.minimum.reduceat(cells.order[cells.starts], bins.starts)[bins.code], kind="stable")
+    envelope = Groups(cells.keys[1][by_bin])
+    win = by_bin[envelope.argmax(val[by_bin])]
+    hs = envelope.keys[0].tolist()
+    vals = val[win].tolist()
     # suffix maximum: the smallest non-increasing majorant of g*
     cleaned = list(vals)
     for i in range(len(cleaned) - 2, -1, -1):
@@ -150,7 +139,7 @@ def test_decaying_majorant(
     }
     if drop <= math.log(factor):
         return CriterionReport("majorant", PASS, evidence, config_echo=echo or {})
-    worst = arg[hs[-1]]
+    worst = data.probes[best[win[-1]]]
     return CriterionReport(
         "majorant",
         FAIL,
@@ -357,7 +346,6 @@ def run_nonuniform_panel(
 
 
 def _bins_bounded(data: RatioData, cap: float) -> bool:
-    bins: dict = {}
-    for p in data.probes:
-        bins[p.s] = max(bins.get(p.s, 0.0), p.log_ratio)
-    return bool(bins) and max(bins.values()) <= math.log(cap)
+    """Whether every s-bin's largest ratio, floored at 1 (a nan never counts), stays under the cap."""
+    lr = data.log_ratio
+    return bool(lr.size) and np.max(lr, where=~np.isnan(lr), initial=0.0).item() <= math.log(cap)

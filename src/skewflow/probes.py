@@ -7,6 +7,7 @@ Randomized law-check probes are drawn from a seeded generator.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ def t0_grid(s_max: float) -> list:
 
 
 class RatioProbe(NamedTuple):
-    """One ratio probe; a run makes tens of thousands, so it is a light tuple."""
+    """One ratio probe, as a witness reads it."""
 
     t: float
     s: float
@@ -58,13 +59,92 @@ class RatioProbe(NamedTuple):
     log_ratio: float  # log ||Phi(t,t0,x)v|| - log ||Phi(s,t0,x)v||
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatioData:
-    probes: tuple
-    skipped: int
+    """The ratio probes of one grid as columns, and as a sequence of RatioProbe built when read.
 
-    def lags(self) -> list:
-        return sorted({p.lag for p in self.probes})
+    Probe i is at t = s + lag from t0, for the state ``system.state_samples[xi]``
+    and the vector ``system.vector_samples[vi]``.  The grid (svals, offsets,
+    lags, extras) has the rows (s, max(0, s - off), x, v) for s in svals and
+    off in offsets, each over the lags, then the last ``extra`` probes: the
+    extra (t, s) pairs, with t0 = s.  ``skipped_rows`` holds (s, t0) of each
+    row whose denominator underflowed to zero.
+    """
+
+    system: System
+    grid: tuple
+    t: np.ndarray
+    s: np.ndarray
+    t0: np.ndarray
+    lag: np.ndarray
+    log_ratio: np.ndarray
+    xi: np.ndarray
+    vi: np.ndarray
+    extra: int
+    skipped_rows: np.ndarray
+
+    @property
+    def skipped(self) -> int:
+        return self.skipped_rows.shape[1]
+
+    @property
+    def probes(self) -> RatioData:
+        return self
+
+    def __len__(self) -> int:
+        return self.log_ratio.size
+
+    def __getitem__(self, i: int) -> RatioProbe:
+        return RatioProbe(self.t[i].item(), self.s[i].item(), self.t0[i].item(), self.system.state_samples[self.xi[i]],
+                          self.system.vector_samples[self.vi[i]], self.lag[i].item(), self.log_ratio[i].item())
+
+    def select(self, grid: tuple) -> RatioData:
+        """The probes of a grid this one covers, in their order, with its own skipped rows."""
+        svals, offsets, lags, extras = grid
+
+        def rows(s, t0):
+            return _isin(s, svals) & np.any([t0 == np.maximum(0.0, s - off) for off in offsets], axis=0)
+
+        keep = rows(self.s, self.t0) & _isin(self.lag, lags)
+        keep[keep.size - self.extra:] = bool(extras)
+        columns = (c[keep] for c in (self.t, self.s, self.t0, self.lag, self.log_ratio, self.xi, self.vi))
+        return RatioData(self.system, grid, *columns, self.extra if extras else 0,
+                         self.skipped_rows[:, rows(*self.skipped_rows)])
+
+
+def _isin(a: np.ndarray, values) -> np.ndarray:
+    v = np.sort(np.asarray(values, dtype=float))
+    return v[np.minimum(np.searchsorted(v, a), v.size - 1)] == a
+
+
+class Groups:
+    """The probes grouped by equal values of some columns: the groups in ascending order of
+    those values (``keys``), each in probe order; ``code`` is each probe's group."""
+
+    def __init__(self, *columns: np.ndarray):
+        n = columns[0].size
+        self.order = np.lexsort((np.arange(n),) + columns[::-1])
+        new = np.ones(n, dtype=bool)
+        new[1:] = np.any([c[self.order][1:] != c[self.order][:-1] for c in columns], axis=0)
+        self.starts = np.flatnonzero(new)
+        self.keys = [c[self.order[self.starts]] for c in columns]
+        self.code = np.empty(n, dtype=int)
+        self.code[self.order] = np.cumsum(new) - 1
+
+    def argmax(self, a: np.ndarray) -> np.ndarray:
+        """Per group, the probe that Python's ``max`` takes over the group's values of a, in probe order:
+        the first maximum wins a tie; a nan in first place is kept, and a later nan never wins."""
+        v = a[self.order]
+        key = np.where(np.isnan(v), -np.inf, v)
+        key[self.starts] = np.where(np.isnan(v[self.starts]), np.inf, v[self.starts])
+        top = np.maximum.reduceat(key, self.starts)
+        at = np.where(key == top[self.code[self.order]], np.arange(v.size), v.size)
+        return self.order[np.minimum.reduceat(at, self.starts)]
+
+
+def first_max(a: np.ndarray) -> int:
+    """The index of the element Python's ``max(a)`` returns (see ``Groups.argmax``)."""
+    return 0 if np.isnan(a[0]) else int(np.argmax(np.where(np.isnan(a), -np.inf, a)))
 
 
 def ratio_data(
@@ -72,72 +152,58 @@ def ratio_data(
     lag_max: float | None = None,
     s_step: float = 0.5,
     integer_only: bool = False,
+    within: RatioData | None = None,
 ) -> RatioData:
     """Trajectory-norm ratio probes over the system's declared horizons.
 
     Each probe records log(||Phi(t,t0,x)v|| / ||Phi(s,t0,x)v||) for
     t = s + lag, with s <= s_max and t0 <= s at a few spacings.  The
-    system's extra time pairs are appended with t0 = s.  Probes whose
-    denominator underflows to zero are skipped and counted.
+    system's extra time pairs are appended with t0 = s.  Rows whose
+    denominator underflows to zero are skipped and counted.  A grid that
+    ``within`` covers is selected from it, not evaluated again.
     """
     h = system.horizons
     cap = h.lag_max if lag_max is None else min(lag_max, h.lag_max)
-    if integer_only:
-        lags = [lag for lag in lag_grid(cap) if lag.is_integer()]
-        svals = t0_grid(h.s_max)
-        offsets = (0.0,)
+    if integer_only:  # the integer s are the t0 grid, and t0 = s
+        grid = (t0_grid(h.s_max), (0.0,), [lag for lag in lag_grid(cap) if lag.is_integer()], ())
     else:
-        lags = lag_grid(cap)
-        svals = s_grid(h.s_max, s_step)
-        offsets = _OFFSETS
+        grid = (s_grid(h.s_max, s_step), _OFFSETS, lag_grid(cap), h.extra_pairs)
+    if within is not None and all(set(mine) >= set(other) for mine, other in zip(within.grid, grid)):
+        return within.select(grid)
 
-    rows = []  # (s, t0, x, v), each evaluated at t = s and over the lag grid
-    seen = set()
-    for s in svals:
-        for off in offsets:
-            t0 = max(0.0, s - off)
-            if integer_only:
-                t0 = float(int(t0))
-            key = (s, t0)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows += [(s, t0, x, v) for x in system.state_samples for v in system.vector_samples]
-    extra = [] if integer_only else [(t, s, x, v) for t, s in h.extra_pairs
-                                     for x in system.state_samples for v in system.vector_samples]
-    probes = []
-    skipped = 0
+    svals, offsets, lags, extras = grid
+    rs, rt0, rxi, rvi = _rows(system, dict.fromkeys((s, max(0.0, s - off)) for s in svals for off in offsets))
     offs = np.array([0.0] + lags)
-    times: dict = {}
     # rows in blocks of about 2048 evaluations, so no temporary grows with the grid
-    step = max(1, 2048 // len(offs))
-    for j in range(0, len(rows), step):
-        block = rows[j:j + step]
-        s0 = np.array([r[0] for r in block])
-        ln = _log_norms(system, block, (s0[:, None] + offs).ravel(), len(offs))
+    step = max(1, 2048 // offs.size)
+    ln = np.concatenate([_log_norms(system, rs[j:j + step, None] + offs, rt0[j:j + step], rxi[j:j + step],
+                                    rvi[j:j + step]) for j in range(0, rs.size, step)])
+    with np.errstate(invalid="ignore"):
         ratios = ln[:, 1:] - ln[:, :1]
-        for (s, t0, x, v), row, usable in zip(block, ratios.tolist(), (ln[:, 0] != -np.inf).tolist()):
-            if not usable:
-                skipped += 1
-                continue
-            ts = times.setdefault(s, [s + lag for lag in lags])  # shared by every probe at s
-            probes += [RatioProbe(ti, s, t0, x, v, lag, r) for ti, lag, r in zip(ts, lags, row)]
-    if extra:
-        ln = _log_norms(system, extra, np.array([r[0] for r in extra]), 1)
-        probes += [RatioProbe(t, s, s, x, v, t - s, ln_t) for (t, s, x, v), ln_t in zip(extra, ln[:, 0].tolist())]
-    return RatioData(tuple(probes), skipped)
+    ok = ln[:, 0] != -np.inf
+    lag = np.tile(lags, ok.sum())
+    s, t0, xi, vi = (np.repeat(c[ok], len(lags)) for c in (rs, rt0, rxi, rvi))
+    et, es, exi, evi = _rows(system, extras)
+    eln = _log_norms(system, et[:, None], es, exi, evi).ravel()
+    columns = (np.concatenate(c) for c in zip((s + lag, s, t0, lag, ratios[ok].ravel(), xi, vi),
+                                              (et, es, es, et - es, eln, exi, evi)))
+    return RatioData(system, grid, *columns, et.size, np.stack([rs[~ok], rt0[~ok]]))
 
 
-def _log_norms(system: System, rows, t: np.ndarray, per_row: int) -> np.ndarray:
-    """log ||Phi(t, t0, x) v|| for the rows (., t0, x, v), at per_row times each, one row per line."""
-    def each(values):
-        return np.repeat(np.array(values), per_row, axis=-1)
+def _rows(system: System, pairs) -> tuple:
+    """a, b and the state and vector indices of the rows (a, b, x, v): per pair (a, b), then state x, then vector v."""
+    nx, nv = len(system.state_samples), len(system.vector_samples)
+    a, b = np.repeat(np.array(list(pairs), dtype=float).reshape(-1, 2), nx * nv, axis=0).T
+    return a, b, np.tile(np.repeat(np.arange(nx), nv), a.size // (nx * nv)), np.tile(np.arange(nv), a.size // nv)
 
-    states = States.of([r[2] for r in rows])
-    lw = np.stack([log_abs(r[3]) for r in rows], axis=1)
-    ln = log_norms(system, t, each([r[1] for r in rows]),
-                   States(each(states.value), each(states.real)), each(lw))
-    return ln.reshape(len(rows), per_row)
+
+def _log_norms(system: System, t: np.ndarray, t0: np.ndarray, xi: np.ndarray, vi: np.ndarray) -> np.ndarray:
+    """log ||Phi(t, t0, x) v|| for the rows (t0, x, v) of xi and vi, at the times of one line of t each."""
+    each = functools.partial(np.repeat, repeats=t.shape[1], axis=-1)
+    states = States.of(system.state_samples)
+    lw = np.stack([log_abs(v) for v in system.vector_samples], axis=1)[:, vi]
+    x = States(each(states.value[xi]), each(states.real[xi]))
+    return log_norms(system, t.ravel(), each(t0), x, each(lw)).reshape(t.shape)
 
 
 def tail_probes(system: System) -> list:

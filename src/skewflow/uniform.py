@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,9 +30,11 @@ from .errors import BudgetExceeded, DegenerateProbe, MissingGrowthEnvelope
 from .gauges import Gauge
 from .growth import GrowthEnvelope
 from .probes import (
+    Groups,
     RatioData,
     backward_pairs,
     discrete_pairs,
+    first_max,
     ratio_data,
     s_grid,
     tail_probes,
@@ -69,13 +71,7 @@ class DecayFit:
     skipped: int
 
     def as_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "nu": self.nu,
-            "residual": self.residual,
-            "probes_used": self.probes_used,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
 
 def fit_exponential_decay(
@@ -90,19 +86,18 @@ def fit_exponential_decay(
     """
     if data is None:
         data = ratio_data(system)
-    if not data.probes:
+    if not len(data.probes):
         raise DegenerateProbe("no usable decay probes")
     log_cap = math.log(n_cap)
     for nu in sorted(ladder, reverse=True):
-        log_n = max(p.log_ratio + nu * p.lag for p in data.probes)
+        a = data.log_ratio + nu * data.lag
+        log_n = a[first_max(a)].item()
         if log_n <= log_cap:
             n = max(1.0, math.exp(log_n))
             # residual of the certified inequality; zero by construction up
             # to rounding, recomputed honestly from the probe logs
-            resid = max(
-                0.0,
-                max(math.exp(min(p.log_ratio + nu * p.lag, 700.0)) - n for p in data.probes),
-            )
+            excess = apply(math.exp, np.minimum(a, 700.0)) - n
+            resid = max(0.0, excess[first_max(excess)].item())
             return DecayFit(n, nu, resid, len(data.probes), data.skipped)
     return None
 
@@ -113,7 +108,7 @@ def test_uniform_stability(
     """Bounded trajectory-norm ratios: ||Phi(t,t0,x)v|| <= N ||Phi(s,t0,x)v||."""
     if data is None:
         data = ratio_data(system)
-    worst = max(data.probes, key=lambda p: p.log_ratio)
+    worst = data.probes[first_max(data.log_ratio)]
     n = max(1.0, math.exp(min(worst.log_ratio, 700.0)))
     evidence = {"N": n, "n_cap": n_cap, "probes": len(data.probes)}
     if n <= n_cap:
@@ -143,12 +138,8 @@ def test_divergent_minorant(
     """
     if data is None:
         data = ratio_data(system)
-    lags = data.lags()
-    by_lag: dict = {}
-    for p in data.probes:
-        cur = by_lag.get(p.lag)
-        if cur is None or p.log_ratio > cur.log_ratio:
-            by_lag[p.lag] = p  # max ratio = min inverse ratio
+    by_lag = Groups(data.lag)
+    lags = by_lag.keys[0].tolist()
     if len(lags) < 2 or max(lags) < min_lag:
         return CriterionReport(
             "minorant",
@@ -156,7 +147,8 @@ def test_divergent_minorant(
             {"reason": "window grid too short", "max_lag": max(lags) if lags else 0.0},
             config_echo=echo or {},
         )
-    log_fhat = [-by_lag[h].log_ratio for h in lags]
+    best = by_lag.argmax(data.log_ratio)  # max ratio = min inverse ratio, per lag
+    log_fhat = [-r for r in data.log_ratio[best].tolist()]
     # suffix minimum: the largest nondecreasing function below f_hat
     cleaned = list(log_fhat)
     for i in range(len(cleaned) - 2, -1, -1):
@@ -170,7 +162,7 @@ def test_divergent_minorant(
     }
     if gain >= math.log(factor):
         return CriterionReport("minorant", PASS, evidence, config_echo=echo or {})
-    worst = by_lag[lags[-1]]
+    worst = data.probes[best[-1]]
     return CriterionReport(
         "minorant",
         FAIL,
@@ -315,10 +307,10 @@ def _memoized(memo: dict, keys: list, compute):
     """(position, memo[key]) for each key in order, computing the missing ones in batches.
 
     ``compute(positions)`` returns the results for those keys.  A batch
-    holds the next 1, 1, 2, 4, ... distinct missing keys, so a caller that
-    stops at its k-th probe has computed fewer than 2k.
+    holds the next 1, 2, 4, ... distinct missing keys, so a caller that
+    stops at its k-th probe has computed at most 2k - 1.
     """
-    sizes = itertools.chain([1], (2 ** i for i in itertools.count()))
+    sizes = (2 ** i for i in itertools.count())
     for i, key in enumerate(keys):
         if key not in memo:
             size, batch = next(sizes), {}
@@ -568,7 +560,7 @@ def test_discrete_decay(
     if int_data is None:
         int_data = ratio_data(system, integer_only=True)
     fit = fit_exponential_decay(system, int_data, n_cap)
-    max_lag = max((p.lag for p in int_data.probes), default=0.0)
+    max_lag = np.max(int_data.lag, initial=0.0).item()
     thin = max_lag < 5.0
     evidence = {"thin_grid": thin, "max_lag": max_lag}
     if fit is None:
@@ -607,13 +599,13 @@ UES_CRITERIA = (
 def _fit_report(fit: DecayFit | None, data: RatioData, n_cap: float, echo: dict) -> CriterionReport:
     if fit is not None:
         return CriterionReport("fit-exp", PASS, dict(fit.as_dict(), n_cap=n_cap), config_echo=echo)
-    worst = max(data.probes, key=lambda p: p.log_ratio)
+    worst = data.log_ratio[first_max(data.log_ratio)].item()
     return CriterionReport(
         "fit-exp",
         INCONCLUSIVE,
         {
             "reason": "no ladder rate admits a constant under the cap",
-            "max_ratio": math.exp(min(worst.log_ratio, 700.0)),
+            "max_ratio": math.exp(min(worst, 700.0)),
             "n_cap": n_cap,
         },
         config_echo=echo,
@@ -633,9 +625,11 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
 
     if data is None:
         data = ratio_data(system, s_step=config.grid_step)
-    int_data = ratio_data(system, integer_only=True)
+    # the integer and growth grids are read from the panel grid when it covers them
+    int_data = ratio_data(system, integer_only=True, within=data)
     gauge = make_gauge(config.gauge)
-    env = estimate_growth(system, "uniform", grid_h=config.grid_h, data=None)
+    env = estimate_growth(system, "uniform", grid_h=config.grid_h,
+                          data=ratio_data(system, lag_max=config.grid_h, within=data))
     echo = {"gauge": gauge.describe(), "n_cap": config.ncap, "grid_h": config.grid_h}
 
     def want(cid):

@@ -3,8 +3,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -371,3 +375,16 @@ class TestInconclusiveBands:
         for cid in ("datko-v", "datko-op", "datko-d", "datko-v-nu", "datko-op-nu", "datko-d-nu"):
             assert by_id[cid]["verdict"] == "inconclusive", cid
             assert by_id[cid]["evidence"]["band"] == "horizon-limited probe", cid
+
+
+def test_nan_log_ratios_leave_stderr_empty():
+    """A coef of -1e308 gives nan log ratios; the run still exits 0 and writes nothing to stderr."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewflow.cli", "classify", "--config",
+         str(root / "tests" / "data" / "custom_coef_neg1e308.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""

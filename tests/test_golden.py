@@ -36,8 +36,10 @@ GOLDEN = {
         "9d71f5c5a23ed7b52f00105c6b46d8990f912948f1be1bdcd0a73dbe37b8ec49",
     ("gallery", "list"):
         "ae9dda9fc5ae2c6e7cc4145cf5a325c56c84335314d2c657d86f8df4492c639b",
+    # re-recorded when core.cocycle_matrix moved from numpy's exp to math.exp per entry:
+    # the old digest held only where numpy's AVX-512 exp ran; this one holds on every CPU
     ("axioms", "--system", "diag3"):
-        "b3ad1518d4dc14c7281e4b83f4b826a0556a722f1a9319cebf25fb080870bb42",
+        "b6a48dfc05fa73d6c25db6ca9719fcf74b9965990fac4e4030ae7f3e95ab75b9",
     ("growth", "--system", "tsint", "--omega-const"):
         "e34b9e9a5e49832c498945aa8086f0656165c83ed5090cf5158eea9c13421a64",
     # every flag that reaches the config echo
@@ -69,6 +71,12 @@ GOLDEN = {
         "148b6a0111387c667662be218387f9974674b14633c88ecf6938a272a615dd67",
     ("classify", "--config", "tests/data/custom_linf_dim3.json"):
         "fb1333a7f5e2fcf696cdc534d9845e14160b8484c63ec4e59cef41bce20d9dbb",
+    # a coef of -1e308 or +1e308 gives nan and inf log ratios: the first-maximum, nan and
+    # min(x, 700) rules of every grid criterion (recorded before the grid became columns)
+    ("classify", "--config", "tests/data/custom_coef_neg1e308.json"):
+        "d0c29825963924175a2f45b69bb433cbd0263b50791d44fbd9dba464f4e09b49",
+    ("classify", "--config", "tests/data/custom_coef_pos1e308.json"):
+        "126f0abbc55ca433fffc9c1722cd8c1614d9f296808fcef68b07f8a2bf5a133e",
     # the saturating and power gauges inside every integral
     ("classify", "--system", "scalar_decay", "--gauge", "sat:1"):
         "3c395bc7e8f0a14baefbf92aa27b7a37fcf483af0fa3e71b7f489816f3e99bc2",

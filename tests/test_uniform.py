@@ -514,8 +514,23 @@ class TestSkippedCause:
         assert causes == {"budget"}
 
 
+def test_memoized_batches_hold_1_2_4_keys():
+    """A caller that stops at its k-th key has computed its keys in batches of 1, 2, 4, ..., fewer than 2k."""
+    for k in range(1, 65):
+        batches = []
+
+        def compute(positions):
+            batches.append(len(positions))
+            return positions
+
+        for _ in itertools.islice(uniform._memoized({}, list(range(200)), compute), k):
+            pass
+        assert sum(batches) < 2 * k, k
+        assert batches == [2 ** i for i in range(len(batches))], k
+
+
 class TestEarlyExitsStayCheap:
-    """A criterion that stops at its k-th probe has its integrals computed in batches of 1, 1, 2, 4, ...
+    """A criterion that stops at its k-th probe has its integrals computed in batches of 1, 2, 4, ...
 
     so fewer than 2k of them: each memo setting holds fewer than twice the
     entries that one probe at a time computed (the counts below).
