@@ -14,11 +14,15 @@ Exit codes: 0 definite verdict, 1 inconclusive, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import itertools
 import json
+import os
+import pickle
 import sys
+import threading
 from dataclasses import fields
 from datetime import datetime, timezone
 
@@ -30,7 +34,7 @@ from .gauges import make_gauge
 from .growth import estimate_growth, verify_growth
 from .nonuniform import run_nonuniform_panel
 from .probes import law_probes, ratio_data
-from .reports import FAIL, PASS, TAG_COMPATIBLE, UES
+from .reports import FAIL, INCONCLUSIVE, PASS, TAG_COMPATIBLE, UES
 from .uniform import UES_CRITERIA, Skipped, test_datko
 
 SCHEMA_VERSION = "1"
@@ -98,10 +102,7 @@ def _config_from_args(args) -> RunConfig:
     flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     params = _parse_params(args.param)
     cfg = merge_config(file_doc, flags)
-    if params:
-        merged = dict(cfg.params)
-        merged.update(params)
-        cfg.params = merged
+    cfg.params = {**cfg.params, **params}
     return cfg
 
 
@@ -279,6 +280,67 @@ def _parse_sweep(specs) -> dict:
     return ranges
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _outcomes(row, items) -> list:
+    """(True, row(item)) per item, and (False, exception) from the first failing item on."""
+    out = []
+    for item in items:
+        try:
+            out.append((True, row(item)))
+        except Exception as exc:
+            return out + [(False, exc)] * (len(items) - len(out))
+    return out
+
+
+def _map_rows(row, items) -> list:
+    """[row(item) for item in items], item i on worker i mod n of up to the usable CPUs.
+
+    Worker 0 is this process and the others are forked children, reaped before this
+    returns or raises; a running thread keeps every item here, as a fork copies only
+    the caller.  As in the serial loop, the lowest failing item's exception is raised.
+    """
+    n = min(len(items), _usable_cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    children, outcomes = {}, {}
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: worker k's items run here
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:  # os._exit: no atexit handler, no inherited stdio flush, no caller's cleanup
+                try:
+                    out = _outcomes(row, items[k::n])
+                    try:
+                        pickle.loads(data := pickle.dumps(out))
+                    except Exception:  # the error document shows only the type name and message
+                        data = pickle.dumps([(ok, v if ok else (type(v).__name__, str(v))) for ok, v in out])
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(data)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[k] = (pid, r)
+        outcomes.update((k, _outcomes(row, items[k::n])) for k in range(n) if k not in children)
+    finally:
+        for k, (pid, r) in children.items():
+            with os.fdopen(r, "rb") as fh:
+                data = fh.read()
+            dead = [(False, RuntimeError("a sweep worker ended without a result"))] * len(items[k::n])
+            outcomes[k] = pickle.loads(data) if os.waitpid(pid, 0)[1] == 0 else dead
+    done = [outcomes[i % n][i // n] for i in range(len(items))]
+    for ok, value in done:
+        if not ok:
+            raise value if isinstance(value, Exception) else type(value[0], (Exception,), {})(value[1])
+    return [value for _, value in done]
+
+
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     ranges = _parse_sweep(args.sweep)
@@ -286,32 +348,32 @@ def cmd_sweep(args) -> int:
     combos = list(itertools.product(*(ranges[n] for n in names))) if names else []
     if len(combos) > 1000:
         raise ConfigError(f"sweep has {len(combos)} combinations, cap is 1000")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        names + ["verdict", "N", "nu", "max_N_of_s", "nu_nonuniform",
-                 "pass", "fail", "inconclusive"]
-    )
-    for combo in combos:
-        params = dict(cfg.params)
-        params.update(dict(zip(names, combo)))
+
+    def row(combo) -> list:
+        params = {**cfg.params, **dict(zip(names, combo))}
         system = gallery.build(cfg.system, params) if cfg.system else gallery.build_custom(cfg.custom_system)
         verdict = run_nonuniform_panel(system, cfg)
         by_id = {r.criterion_id: r for r in verdict.criteria}
         fit = by_id.get("fit-exp")
         nfit = by_id.get("fit-exp-nu")
-        counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-        for r in verdict.criteria:
-            counts[r.verdict] += 1
-        writer.writerow([
+        counts = collections.Counter(r.verdict for r in verdict.criteria)
+        return [
             *combo,
             verdict.label,
             fit.evidence.get("N", "") if fit and fit.verdict == PASS else "",
             fit.evidence.get("nu", "") if fit and fit.verdict == PASS else "",
             nfit.evidence.get("max_N_of_s", "") if nfit and nfit.verdict == PASS else "",
             nfit.evidence.get("nu", "") if nfit and nfit.verdict == PASS else "",
-            counts["pass"], counts["fail"], counts["inconclusive"],
-        ])
+            counts[PASS], counts[FAIL], counts[INCONCLUSIVE],
+        ]
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        names + ["verdict", "N", "nu", "max_N_of_s", "nu_nonuniform",
+                 "pass", "fail", "inconclusive"]
+    )
+    writer.writerows(_map_rows(row, combos))
     _write(buf.getvalue(), cfg.out)
     return EXIT_OK
 

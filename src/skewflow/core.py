@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -234,16 +234,6 @@ def apply_cocycle(system: System, t: float, s: float, x: StatePoint, v) -> np.nd
     return out
 
 
-def apply_adjoint(system: System, t: float, s: float, x: StatePoint, vstar) -> np.ndarray:
-    """Apply the transpose of Phi(t, s, x) to a dual vector."""
-    vstar = np.asarray(vstar, dtype=float)
-    m = cocycle_matrix(system, t, s, x)
-    out = m.T @ vstar
-    if not np.all(np.isfinite(out)):
-        raise NonFinite(f"adjoint value overflowed at (t={t}, s={s})")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # log-space trajectory norms (the workhorse of every ratio-based criterion)
 
@@ -302,17 +292,6 @@ def combine_logs(norm: str | None, terms: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def log_combiner(norm: str, w=None):
-    """g -> log ||diag(e^g) w|| for logs g of a diagonal operator's entries (along the first axis)."""
-    lw = None if w is None else log_abs(w)
-
-    @np.errstate(all="ignore")
-    def combine(g):
-        g = np.asarray(g, dtype=float)
-        return combine_logs(None if lw is None else norm, g if lw is None else (g.T + lw).T)
-    return combine
-
-
 @np.errstate(all="ignore")
 def log_norms(system: System, t, s, x, lw=None, dual: bool = False) -> np.ndarray:
     """log ||Phi(t_i, s_i, x_i) w_i|| for every element: the one trajectory log-norm path.
@@ -349,14 +328,6 @@ def log_vector_norm(system: System, t: float, s: float, x: StatePoint, v) -> flo
 def log_operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
     """log of the induced norm of Phi(t, s, x)."""
     return float(log_norm_path(system)(t, s, x)[0])
-
-
-def operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
-    """Induced norm of Phi(t, s, x)."""
-    try:
-        return math.exp(log_operator_norm(system, t, s, x))
-    except OverflowError:
-        raise NonFinite(f"operator norm overflowed at (t={t}, s={s})")
 
 
 def log_adjoint_dual_norm(system: System, t: float, s: float, x: StatePoint, vstar) -> float:
@@ -422,30 +393,3 @@ def check_cocycle_law(system: System, probes) -> LawReport:
         ident = max(ident, vec_norm(same - np.asarray(v, dtype=float), system.norm_choice))
         count += 1
     return LawReport(comp, ident, count)
-
-
-# ---------------------------------------------------------------------------
-# spectral shift
-
-class _ShiftedDiagonalCocycle:
-    def __init__(self, base, alpha: float):
-        self.base = base
-        self.alpha = alpha
-
-    def log_diag(self, t, s, x):
-        off = -self.alpha * (t - s)
-        return [g + off for g in self.base.log_diag(t, s, x)]
-
-
-def shift_cocycle(system: System, alpha: float) -> System:
-    """Exponentially reweighted system: Phi_alpha(t, s, x) = e^{-alpha (t-s)} Phi(t, s, x).
-
-    Preserves both flow laws; the classification tag is cleared because the
-    reweighting changes it.
-    """
-    return replace(
-        system,
-        name=f"{system.name}#shift{alpha:+g}",
-        cocycle=_ShiftedDiagonalCocycle(system.cocycle, alpha),
-        ground_truth=None,
-    )

@@ -467,12 +467,3 @@ def build_custom(spec: dict) -> System:
         dimension=len(entries),
         norm=spec.get("norm", "L1"),
     )
-
-
-def exponential_system(rate: float = -1.0, lag_max: float = 1024.0) -> System:
-    """Pure scalar exponential Phi(t, s) = e^{rate (t-s)}."""
-    return build_custom({
-        "name": f"exp({rate:+g})",
-        "entries": [[{"kind": "linear", "coef": float(rate)}]],
-        "lag_max": lag_max,
-    })

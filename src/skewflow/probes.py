@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import States, System, log_abs, log_norms
+from .errors import DegenerateProbe
 
 # dense coverage of short lags, then geometric coverage out to the cap
 _LAG_BASE = (
@@ -144,6 +145,8 @@ class Groups:
 
 def first_max(a: np.ndarray) -> int:
     """The index of the element Python's ``max(a)`` returns (see ``Groups.argmax``)."""
+    if not a.size:
+        raise DegenerateProbe("no usable probes")
     return 0 if np.isnan(a[0]) else int(np.argmax(np.where(np.isnan(a), -np.inf, a)))
 
 

@@ -8,7 +8,6 @@ import math
 
 import pytest
 
-from skewflow import gallery
 from skewflow.cli import check_ground_truth, main
 from skewflow.core import (
     SHIFT_PARAMETER,
@@ -17,8 +16,6 @@ from skewflow.core import (
     check_cocycle_law,
     check_semiflow_law,
     cocycle_matrix,
-    operator_norm,
-    shift_cocycle,
 )
 from skewflow.gauges import make_gauge
 from skewflow.nonuniform import fit_nonuniform_decay
@@ -26,6 +23,8 @@ from skewflow.probes import law_probes
 from skewflow.quadrature import integrate_finite, integrate_tail, sum_tail
 from skewflow.reports import FAIL, PASS
 from skewflow.uniform import fit_exponential_decay
+
+from conftest import exponential_system, operator_norm, shift_cocycle
 
 import io
 from contextlib import redirect_stdout
@@ -171,7 +170,7 @@ def test_acceptance_7_discrete_continuous_agreement(uniform_panels):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_acceptance_8_shift_consistency(alpha):
-    base = gallery.exponential_system(-1.0)
+    base = exponential_system(-1.0)
     shifted = shift_cocycle(base, alpha)
     fit = fit_exponential_decay(shifted)
     assert fit is not None

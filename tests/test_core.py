@@ -10,26 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewflow import gallery
 from skewflow.core import (
     ABSTRACT_REAL,
     SHIFT_PARAMETER,
     StatePoint,
-    apply_adjoint,
     apply_cocycle,
     check_cocycle_law,
     check_semiflow_law,
     cocycle_matrix,
     dual_norm,
-    log_combiner,
     log_norm_path,
     log_vector_norm,
-    operator_norm,
-    shift_cocycle,
     vec_norm,
 )
 from skewflow.errors import InvalidParams, NonFinite, TimeOrderViolation
 from skewflow.probes import law_probes
+
+from conftest import apply_adjoint, exponential_system, log_combiner, operator_norm, shift_cocycle
 
 
 def state(v, kind=ABSTRACT_REAL):
@@ -69,7 +66,7 @@ class TestApplyCocycle:
             log_norm(1.0, 2.0, x)
 
     def test_overflow_is_nonfinite(self):
-        grow = gallery.exponential_system(8.0)
+        grow = exponential_system(8.0)
         with pytest.raises(NonFinite):
             apply_cocycle(grow, 100.0, 0.0, grow.state_samples[0], (1.0,))
 
@@ -108,7 +105,7 @@ class TestShift:
             assert np.allclose(a, b, rtol=0.0, atol=0.0)
 
     def test_pure_exponential_value(self):
-        base = gallery.exponential_system(-1.0)
+        base = exponential_system(-1.0)
         shifted = shift_cocycle(base, 1.0)
         m = cocycle_matrix(shifted, 1.0, 0.0, base.state_samples[0])
         assert m[0, 0] == pytest.approx(math.exp(-2.0), rel=1e-14)
@@ -202,7 +199,7 @@ class TestLogNorms:
                         assert lg == pytest.approx(math.log(direct), abs=1e-10), name
 
     def test_log_survives_underflow(self):
-        s = gallery.exponential_system(-2.0)
+        s = exponential_system(-2.0)
         lg = log_vector_norm(s, 1000.0, 0.0, s.state_samples[0], (1.0,))
         assert lg == pytest.approx(-2000.0, rel=1e-12)
 

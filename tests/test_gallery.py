@@ -6,9 +6,11 @@ import random
 import pytest
 
 from skewflow import gallery
-from skewflow.core import SHIFT_PARAMETER, StatePoint, apply_cocycle, operator_norm
+from skewflow.core import SHIFT_PARAMETER, StatePoint, apply_cocycle
 from skewflow.errors import InvalidParams
 from skewflow.quadrature import integrate_finite
+
+from conftest import operator_norm
 
 
 def test_gallery_names_and_tags(systems):

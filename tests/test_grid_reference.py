@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from skewflow import gallery
+from skewflow.errors import DegenerateProbe
 from skewflow.growth import M_CAP_NONUNIFORM, M_CAP_UNIFORM, OMEGA_LADDER, estimate_growth, verify_growth
 from skewflow.nonuniform import _bins_bounded, fit_nonuniform_decay
 from skewflow.nonuniform import test_decaying_majorant as majorant_check
 from skewflow.probes import RatioData, RatioProbe
 from skewflow.reports import witness_dict
-from skewflow.uniform import NU_LADDER, fit_exponential_decay
+from skewflow.uniform import NU_LADDER, _fit_report, fit_exponential_decay
 from skewflow.uniform import test_divergent_minorant as minorant_check
 from skewflow.uniform import test_uniform_stability as uniform_stability_check
 
@@ -151,3 +152,10 @@ def test_reductions_match_the_probe_loops(seed):
                 bound = math.log(env.M)
                 want = next((p for p in ps if p.log_ratio > bound + env.omega * p.lag + 1e-9), None)
                 assert repr(bad) == repr(want)
+
+
+def test_an_empty_probe_set_is_a_degenerate_probe():
+    empty = _columns([])
+    for check in (fit_exponential_decay, uniform_stability_check, lambda s, d: _fit_report(None, d, 1e3, {})):
+        with pytest.raises(DegenerateProbe):
+            check(SYSTEM, empty)

@@ -1,13 +1,13 @@
 """Growth-envelope estimation and verification."""
 
-from skewflow import gallery
-from skewflow.core import shift_cocycle
 from skewflow.growth import OMEGA_LADDER, estimate_growth, verify_growth
 from skewflow.probes import ratio_data
 
+from conftest import exponential_system, shift_cocycle
+
 
 def test_pure_contraction_gets_bottom_rung():
-    s = gallery.exponential_system(-1.0)
+    s = exponential_system(-1.0)
     env = estimate_growth(s, "uniform")
     assert env.omega == 0.25
     assert env.M == 1.0
@@ -23,7 +23,7 @@ def test_estimate_then_verify_roundtrip(systems):
 
 
 def test_envelope_m_monotone_in_omega():
-    s = gallery.exponential_system(0.9)
+    s = exponential_system(0.9)
     data = ratio_data(s, lag_max=10.0)
     entries = [(p.log_ratio, p.lag) for p in data.probes]
     ms = [max(lr - w * h for lr, h in entries) for w in OMEGA_LADDER]
@@ -45,7 +45,7 @@ def test_shifted_omega_never_larger(systems):
 
 
 def test_growing_system_needs_matching_rung():
-    s = gallery.exponential_system(1.8)
+    s = exponential_system(1.8)
     env = estimate_growth(s, "uniform")
     assert env.omega == 2.0
     assert not env.dubious
@@ -53,7 +53,7 @@ def test_growing_system_needs_matching_rung():
 
 def test_verify_reports_witness():
     from skewflow.growth import GrowthEnvelope
-    s = gallery.exponential_system(1.0)
+    s = exponential_system(1.0)
     bad = GrowthEnvelope("uniform", M=1.0, omega=0.5)
     data = ratio_data(s, lag_max=10.0)
     witness = verify_growth(s, bad, data)

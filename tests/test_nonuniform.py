@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from skewflow import RunConfig, gallery
-from skewflow.core import log_vector_norm, shift_cocycle
+from skewflow import RunConfig
+from skewflow.core import log_vector_norm
 from skewflow.gauges import make_gauge
 from skewflow.nonuniform import (
     fit_nonuniform_decay,
@@ -16,6 +16,8 @@ from skewflow.nonuniform import (
 )
 from skewflow.probes import ratio_data
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
+
+from conftest import exponential_system, shift_cocycle
 
 IDENTITY = make_gauge("identity")
 
@@ -40,7 +42,7 @@ class TestNonuniformFit:
         assert fit.N_of_s[5.0] >= math.exp(10.0) * 0.9
 
     def test_uniform_case_embeds(self):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         fit = fit_nonuniform_decay(s)
         assert fit.nu == 1.0
         assert max(fit.N_of_s.values()) == pytest.approx(1.0, abs=1e-12)
@@ -63,7 +65,7 @@ class TestNonuniformFit:
 
 class TestMajorant:
     def test_pure_contraction_passes(self):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         r = majorant_check(s)
         assert r.verdict == PASS
 
@@ -126,14 +128,14 @@ class TestDatkoNonuniform:
 
 class TestBarbashinNonuniform:
     def test_scalar_contraction(self, config):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         r = barbashin_nu_check(s, "continuous", IDENTITY, 0.5, config)
         assert r.verdict == PASS
         # integral of e^{-0.5 u} over [0, t-t0] stays below 2
         assert all(v <= 2.0 + 1e-6 for _, v in r.evidence["per_t0"])
 
     def test_growing_system_fails(self, config):
-        s = gallery.exponential_system(1.0)
+        s = exponential_system(1.0)
         r = barbashin_nu_check(s, "continuous", IDENTITY, 0.5, config)
         assert r.verdict == FAIL
         assert r.witness["value"] > 1e6
@@ -200,7 +202,7 @@ class TestCombinedPanel:
         assert len(r.evidence["per_t0"]) >= 5
 
     def test_growing_system_is_unstable(self, config):
-        v = run_nonuniform_panel(gallery.exponential_system(1.0), config)
+        v = run_nonuniform_panel(exponential_system(1.0), config)
         assert v.label == "unstable"
 
     def test_criteria_ids_complete(self, classifications):

@@ -14,8 +14,6 @@ from skewflow.core import (
     log_adjoint_dual_norm,
     log_operator_norm,
     log_vector_norm,
-    operator_norm,
-    shift_cocycle,
 )
 from skewflow.errors import MissingGrowthEnvelope
 from skewflow.gauges import make_gauge
@@ -37,6 +35,8 @@ from skewflow.uniform import (
     test_uniform_stability as uniform_stability_check,
 )
 
+from conftest import exponential_system, operator_norm, shift_cocycle
+
 IDENTITY = make_gauge("identity")
 
 
@@ -49,7 +49,7 @@ class TestFit:
         assert fit.residual <= 1e-9
 
     def test_pure_exponential(self):
-        s = gallery.exponential_system(-2.0)
+        s = exponential_system(-2.0)
         fit = fit_exponential_decay(s)
         assert fit.nu == 2.0
         assert fit.N == pytest.approx(1.0, abs=1e-12)
@@ -74,7 +74,7 @@ class TestUniformStability:
         assert r.evidence["N"] == 1.0
 
     def test_growing_system_fails_with_witness(self):
-        s = gallery.exponential_system(1.0)
+        s = exponential_system(1.0)
         r = uniform_stability_check(s)
         assert r.verdict == FAIL
         assert r.witness is not None
@@ -83,7 +83,7 @@ class TestUniformStability:
 
 class TestMinorant:
     def test_pure_contraction_passes(self):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         r = minorant_check(s)
         assert r.verdict == PASS
         # f_hat(h) = e^h, so the overall gain dwarfs the factor
@@ -104,7 +104,7 @@ class TestMinorant:
 
 class TestHalfDecay:
     def test_pure_contraction(self):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         env = estimate_growth(s, "uniform")
         r = half_decay_check(s, env, "continuous", 6.0)
         assert r.verdict == PASS
@@ -112,7 +112,7 @@ class TestHalfDecay:
         assert r.evidence["sup_norm"] == pytest.approx(math.exp(-1.1), rel=1e-12)
 
     def test_slower_contraction(self):
-        s = gallery.exponential_system(-0.7)
+        s = exponential_system(-0.7)
         env = estimate_growth(s, "uniform")
         r = half_decay_check(s, env, "continuous", 6.0)
         assert r.verdict == PASS
@@ -147,7 +147,7 @@ class TestHalfDecay:
 
 class TestDatko:
     def test_pure_contraction_tail(self, config):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         r = datko_check(s, "vector", "continuous", IDENTITY, config)
         assert r.verdict == PASS
         # tail from t0 is exactly 1 for every t0
@@ -167,7 +167,7 @@ class TestDatko:
         assert per_t0[0.0] >= 50.346573590279974 - 1e-3
 
     def test_quadratic_gauge_on_contraction(self, config):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         r = datko_check(s, "vector", "continuous", make_gauge("pow:2"), config)
         assert r.verdict == PASS
         assert r.evidence["sup_ratio"] == pytest.approx(0.5, abs=1e-5)
@@ -188,7 +188,7 @@ class TestDatko:
         assert r.evidence["sup_ratio"] > 1e4  # beyond the 10x band, not mere divergence
 
     def test_growing_system_fails(self, config):
-        s = gallery.exponential_system(1.0)
+        s = exponential_system(1.0)
         r = datko_check(s, "vector", "continuous", IDENTITY, config)
         assert r.verdict == FAIL
 
@@ -212,14 +212,14 @@ class TestDatko:
 
 class TestBarbashin:
     def test_scalar_contraction_integral(self, config):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         r = barbashin_check(s, "vector-dual", "continuous", IDENTITY, config, "uniform-stability")
         assert r.verdict == PASS
         # integral over [t0, t] is 1 - e^{-(t-t0)} < 1 at every probe
         assert r.evidence["sup_integral"] == pytest.approx(1.0 - math.exp(-100.0), abs=1e-6)
 
     def test_hypothesis_recorded(self, config):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         r = barbashin_check(s, "vector-dual", "continuous", IDENTITY, config, "uniform-growth")
         assert r.config_echo["hypothesis"] == "uniform-growth"
 
@@ -247,7 +247,7 @@ class TestBarbashin:
         assert r.evidence["sup_integral"] == pytest.approx(direct, rel=1e-12)
 
     def test_growing_system_fails(self, config):
-        s = gallery.exponential_system(1.0)
+        s = exponential_system(1.0)
         r = barbashin_check(s, "vector-dual", "continuous", IDENTITY, config, "none")
         assert r.verdict == FAIL
         assert r.witness is not None
@@ -255,7 +255,7 @@ class TestBarbashin:
 
 class TestDiscreteDecay:
     def test_pure_exponential(self, config):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         env = estimate_growth(s, "uniform")
         r = discrete_decay_check(s, env, n_cap=config.ncap)
         assert r.verdict == PASS
@@ -263,7 +263,7 @@ class TestDiscreteDecay:
         assert r.evidence["N"] == pytest.approx(1.0, abs=1e-12)
 
     def test_thin_grid_flag(self, config):
-        s = gallery.exponential_system(-1.0, lag_max=2.0)
+        s = exponential_system(-1.0, lag_max=2.0)
         env = estimate_growth(s, "uniform")
         r = discrete_decay_check(s, env, n_cap=config.ncap)
         assert r.evidence["thin_grid"]
@@ -288,7 +288,7 @@ class TestPanel:
         assert uniform_panels["bounded_ratio"].verdict == "US-not-UES"
 
     def test_growing_exponential_is_unstable(self, config):
-        panel = run_uniform_panel(gallery.exponential_system(1.0), config)
+        panel = run_uniform_panel(exponential_system(1.0), config)
         assert panel.verdict == "unstable"
 
     def test_spike_not_ues(self, uniform_panels):
@@ -352,7 +352,7 @@ class TestScaleInvariance:
 class TestShiftConsistency:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_shifted_rate_tracks_ladder(self, alpha):
-        base = gallery.exponential_system(-1.0)
+        base = exponential_system(-1.0)
         fit = fit_exponential_decay(shift_cocycle(base, alpha))
         assert fit is not None
         # factor-2 ladder: the fitted rate lies within one rung of 1 + alpha
@@ -365,7 +365,7 @@ class TestMonotoneGaugeConsistency:
         # on pure exponential oracles, the fitted envelope has N = 1 and
         # nu >= ln 2, so a quadratic-gauge pass must coexist with an
         # identity-gauge pass
-        s = gallery.exponential_system(rate)
+        s = exponential_system(rate)
         fit = fit_exponential_decay(s)
         assert fit.N <= 1.0 + 1e-12 and fit.nu >= math.log(2.0)
         quadratic = datko_check(s, "vector", "continuous", make_gauge("pow:2"), config)
@@ -444,7 +444,7 @@ class TestIntegralMemo:
         assert counts[0] == counts[1] > 0
 
     def test_a_replaced_copy_starts_with_an_empty_memo(self, config):
-        s = gallery.exponential_system(-1.0)
+        s = exponential_system(-1.0)
         datko_check(s, "vector", "continuous", IDENTITY, config)
         assert s.memo
         assert dataclasses.replace(s).memo == {}
@@ -499,12 +499,12 @@ class TestSkippedCause:
     @pytest.mark.parametrize("time", ["continuous", "discrete"])
     def test_overflow(self, time, config):
         # e^{800 (s - t0)} leaves float range within one unit of t0
-        r = datko_check(gallery.exponential_system(800.0), "vector", time, IDENTITY, config)
+        r = datko_check(exponential_system(800.0), "vector", time, IDENTITY, config)
         assert r.verdict == INCONCLUSIVE
         assert r.evidence["band"] == "overflow-limited probe"
 
     def test_adjoint_overflow_and_budget(self, config):
-        s = gallery.exponential_system(800.0)
+        s = exponential_system(800.0)
         causes = {val.cause for *_, val in uniform.backward_integrals(s, "continuous", IDENTITY, config)
                   if isinstance(val, Skipped)}
         assert causes == {"overflow"}
@@ -586,7 +586,7 @@ class TestOverflowInABatch:
 
     @staticmethod
     def systems():
-        base = gallery.exponential_system(-1.0, lag_max=16.0)
+        base = exponential_system(-1.0, lag_max=16.0)
         states = tuple(dataclasses.replace(base.state_samples[0], value=v) for v in (0.0, 1e6, 2e6))
         return (dataclasses.replace(base, cocycle=_Marked(), state_samples=states),
                 dataclasses.replace(base, cocycle=_Marked(), state_samples=states[:1]))
