@@ -106,12 +106,12 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _build_system(cfg: RunConfig) -> System:
+def _build_system(cfg: RunConfig, params: dict | None = None) -> System:
     if cfg.custom_system is not None:
         return gallery.build_custom(cfg.custom_system)
     if not cfg.system:
         raise ConfigError("no system selected (use --system or a config file)")
-    return gallery.build(cfg.system, cfg.params)
+    return gallery.build(cfg.system, cfg.params if params is None else params)
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -350,22 +350,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep has {len(combos)} combinations, cap is 1000")
 
     def row(combo) -> list:
-        params = {**cfg.params, **dict(zip(names, combo))}
-        system = gallery.build(cfg.system, params) if cfg.system else gallery.build_custom(cfg.custom_system)
+        system = _build_system(cfg, {**cfg.params, **dict(zip(names, combo))})
         verdict = run_nonuniform_panel(system, cfg)
-        by_id = {r.criterion_id: r for r in verdict.criteria}
-        fit = by_id.get("fit-exp")
-        nfit = by_id.get("fit-exp-nu")
+        passed = {r.criterion_id: r.evidence for r in verdict.criteria if r.verdict == PASS}
+        fit, nfit = passed.get("fit-exp", {}), passed.get("fit-exp-nu", {})
         counts = collections.Counter(r.verdict for r in verdict.criteria)
-        return [
-            *combo,
-            verdict.label,
-            fit.evidence.get("N", "") if fit and fit.verdict == PASS else "",
-            fit.evidence.get("nu", "") if fit and fit.verdict == PASS else "",
-            nfit.evidence.get("max_N_of_s", "") if nfit and nfit.verdict == PASS else "",
-            nfit.evidence.get("nu", "") if nfit and nfit.verdict == PASS else "",
-            counts[PASS], counts[FAIL], counts[INCONCLUSIVE],
-        ]
+        return [*combo, verdict.label, fit.get("N", ""), fit.get("nu", ""), nfit.get("max_N_of_s", ""),
+                nfit.get("nu", ""), counts[PASS], counts[FAIL], counts[INCONCLUSIVE]]
 
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -259,6 +259,8 @@ def combine_logs(norm: str | None, terms: np.ndarray) -> np.ndarray:
         for r in rows[1:]:
             m = np.where(r > m, r, m)
         return m.reshape(shape)
+    if len(rows) == 1 and (rows[0] < np.inf).all():  # m + log(1) / scale: -0.0 becomes +0.0, -inf stays
+        return (rows[0].copy() if norm == "Linf" else rows[0] + 0.0).reshape(shape)
     keep = [r != _NEG_INF for r in rows]
     m = np.where(keep[0], rows[0], 0.0)
     have = keep[0]

@@ -85,12 +85,18 @@ def _evaluate(F, x, k, remaining, caps, errors):
     ``errors`` gets a BudgetExceeded for each integral cut short and a
     NonFinite for each that met a non-finite value.
     """
-    within = np.arange(k.size) - np.searchsorted(k, k) < remaining[k]
-    if not within.all():
-        errors.update((i, BudgetExceeded(f"evaluation cap {caps[i]} reached")) for i in set(k[~within].tolist()))
-    y, over = np.full(k.size, np.nan), np.zeros(k.size, dtype=bool)
-    if within.any():
-        y[within], over[within] = evaluate(F, x[within], k[within])
+    if k.size and remaining[k].min() >= k.size:  # no budget binds within this level
+        y, over = evaluate(F, x, k)
+        if np.isfinite(y).all():
+            return y, np.bincount(k, minlength=remaining.size)
+        within = np.ones(k.size, dtype=bool)
+    else:
+        within = np.arange(k.size) - np.searchsorted(k, k) < remaining[k]
+        if not within.all():
+            errors.update((i, BudgetExceeded(f"evaluation cap {caps[i]} reached")) for i in set(k[~within].tolist()))
+        y, over = np.full(k.size, np.nan), np.zeros(k.size, dtype=bool)
+        if within.any():
+            y[within], over[within] = evaluate(F, x[within], k[within])
     bad = within & ~np.isfinite(y)
     if bad.any():
         for i, j in _first(k, bad):
@@ -98,11 +104,11 @@ def _evaluate(F, x, k, remaining, caps, errors):
     return y, np.bincount(k[within], minlength=remaining.size)
 
 
-def _overflowed(sums, ok, k, x0, x2, errors):
-    """A NonFinite for each integral whose Simpson sum over an evaluated segment left float range."""
-    bad = ok & ~np.isfinite(sums)
-    if bad.any():
-        for i, j in _first(k, bad):
+def _overflowed(sums, values, k, x0, x2, errors):
+    """A NonFinite for each integral whose Simpson sum over a segment of finite values left float range."""
+    finite = np.isfinite(sums)
+    if not finite.all():
+        for i, j in _first(k, ~finite & np.isfinite(values).all(axis=0)):
             if not isinstance(errors.get(i), NonFinite):
                 errors[i] = NonFinite(f"integral overflowed on [{x0[j]}, {x2[j]}]")
 
@@ -112,16 +118,12 @@ def _pieces(m: np.ndarray) -> list:
     return [m[:, j:j + _SLICE] for j in range(0, m.shape[1], _SLICE)]
 
 
-def _slices(pieces: list):
-    """Consume the pieces of a level, yielding their columns in order, about _SLICE at a time."""
-    pieces.reverse()
-    group, cols = [], 0
-    while pieces:
+def _take(pieces: list) -> np.ndarray:
+    """The columns of pieces popped off the end of the list until _SLICE or more, or the list, are used up."""
+    group = [pieces.pop()]
+    while pieces and sum(p.shape[1] for p in group) < _SLICE:
         group.append(pieces.pop())
-        cols += group[-1].shape[1]
-        if cols >= _SLICE or not pieces:
-            yield np.concatenate(group, axis=1)
-            group, cols = [], 0
+    return group[0] if len(group) == 1 else np.concatenate(group, axis=1)
 
 
 @np.errstate(all="ignore")
@@ -147,40 +149,45 @@ def simpson(F, a, b, tol, caps, rel_tol: float = 1e-9) -> list:
                      caps, caps, errors)
     fa, fb, fm = y[0::3], y[1::3], y[2::3]
     whole = (b[live] - a[live]) / 6.0 * (fa + 4.0 * fm + fb)
-    _overflowed(whole, np.isfinite(fa) & np.isfinite(fb) & np.isfinite(fm), live, a[live], b[live], errors)
+    _overflowed(whole, (fa, fb, fm), live, a[live], b[live], errors)
     min_width = (b - a) * 1e-13
     # pending segments as rows x0, x2, f(x0), f(mid), f(x2), Simpson sum, tol share,
     # integral index: grouped by integral and left to right, in pieces
     level = _pieces(np.array([a[live], b[live], fa, fm, fb, whole, tol[live], live]))
     done = [[np.empty(0)] for _ in range(4)]  # accepted integral indices, left ends, contributions, errors
+    dropped = 0  # how many integrals of errors, in the order they failed, have their segments dropped
     while level:
         children = []
-        for seg in _slices(level):
-            if errors:
-                seg = seg[:, ~np.isin(seg[7], list(errors))]
-            x0, x2, f0, f1, f2, s, seg_tol, kf = seg
+        level.reverse()  # _take pops from the end: the pieces in order
+        while level:
+            if len(errors) > dropped:  # drop the segments of the integrals that failed since
+                gone, dropped = list(errors)[dropped:], len(errors)
+                level, children = ([p[:, ~np.isin(p[7], gone)] for p in ps] for ps in (level, children))
+            x0, x2, f0, f1, f2, s, seg_tol, kf = _take(level)
             k = kf.astype(np.intp)
             mid = 0.5 * (x0 + x2)
-            pts = np.stack([0.5 * (x0 + mid), 0.5 * (mid + x2)], axis=1).ravel()
+            pts = np.empty(2 * k.size)
+            pts[0::2], pts[1::2] = 0.5 * (x0 + mid), 0.5 * (mid + x2)
             y, made = _evaluate(F, pts, np.repeat(k, 2), caps - n, caps, errors)
             n += made
             flm, frm = y[0::2], y[1::2]
             sl = (mid - x0) / 6.0 * (f0 + 4.0 * flm + f1)
             sr = (x2 - mid) / 6.0 * (f1 + 4.0 * frm + f2)
             s2 = sl + sr
-            _overflowed(s2, np.isfinite(flm) & np.isfinite(frm), k, x0, x2, errors)
+            _overflowed(s2, (flm, frm), k, x0, x2, errors)
             diff = s2 - s
             err = abs(diff) / 15.0
             accept = (err <= seg_tol + rel_tol * abs(s2)) | ((x2 - x0) <= min_width[k])
+            every = accept.all()
             for store, v in zip(done, (kf, x0, s2 + diff / 15.0, err)):
-                store.append(v[accept])
-            # each split segment becomes its left then its right half, so the order holds
-            parts = np.array([x0, mid, x2, f0, f1, f2, flm, frm, sl, sr, seg_tol, kf])[:, ~accept]
-            child = np.empty((8, 2 * parts.shape[1]))
-            child[:, 0::2] = parts[_LEFT]
-            child[:, 1::2] = parts[_RIGHT]
-            child[6] *= 0.5
-            children += _pieces(child)
+                store.append(v if every else v[accept])
+            if not every:  # each split segment becomes its left then its right half, so the order holds
+                parts = np.array([x0, mid, x2, f0, f1, f2, flm, frm, sl, sr, seg_tol, kf])[:, ~accept]
+                child = np.empty((8, 2 * parts.shape[1]))
+                child[:, 0::2] = parts[_LEFT]
+                child[:, 1::2] = parts[_RIGHT]
+                child[6] *= 0.5
+                children += _pieces(child)
         level = children
     # each integral's contributions in order of their left ends, added one at a time
     # (ufunc.at adds in index order); each store is freed once it is joined

@@ -209,7 +209,7 @@ def test_half_decay(
         return float(ln[i]), grid[i]
 
     for delta in deltas:
-        val, _ = sup_at(delta)
+        val, worst = sup_at(delta)
         if val <= log_half:
             return CriterionReport(
                 cid,
@@ -217,7 +217,6 @@ def test_half_decay(
                 {"delta": delta, "sup_norm": math.exp(val), "threshold": HALF_DECAY_THRESHOLD},
                 config_echo=echo or {},
             )
-    val, worst = sup_at(deltas[-1])
     s, x, v = worst
     w = witness_dict(s=s, x=x, v=v) if v is not None else witness_dict(s=s, x=x)
     w["norm_at_delta_max"] = math.exp(min(val, 700.0))

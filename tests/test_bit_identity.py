@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from skewflow import gallery
 from skewflow.cli import main
-from skewflow.core import ABSTRACT_REAL, SHIFT_PARAMETER, StatePoint
+from skewflow.core import ABSTRACT_REAL, SHIFT_PARAMETER, StatePoint, apply, combine_logs
 from skewflow.errors import BudgetExceeded, NonFinite
 from skewflow.gauges import Gauge, make_gauge
 from skewflow.quadrature import IntegralResult, series, simpson, tails
@@ -140,6 +140,76 @@ def test_cocycles_on_a_dense_sample(cocycle):
     got = cocycle.log_diag_array(t, s, theta)
     want = [cocycle.log_diag(a, b, StatePoint(kind, c)) for a, b, c in zip(t.tolist(), s.tolist(), theta.tolist())]
     assert bits(got.T) == bits(want)
+
+
+# ---------------------------------------------------------------------------
+# log-space norms: one component against the general combine
+
+def reference_combine_logs(norm, terms):
+    """combine_logs as it was before its one-row branch: every row count takes this path."""
+    shape = terms.shape[1:]
+    terms = terms.reshape(len(terms), -1)
+    rows = list(terms)
+    if norm is None:
+        m = rows[0]
+        for r in rows[1:]:
+            m = np.where(r > m, r, m)
+        return m.reshape(shape)
+    keep = [r != -math.inf for r in rows]
+    m = np.where(keep[0], rows[0], 0.0)
+    have = keep[0]
+    for r, k in zip(rows[1:], keep[1:]):
+        m = np.where(k & (~have | (r > m)), r, m)
+        have = have | k
+    if norm == "Linf":
+        return np.where(have, m, -math.inf).reshape(shape)
+    scale = 1.0 if norm == "L1" else 2.0
+    acc = 0.0
+    for r, k in zip(rows, keep):
+        z = scale * (r - m)
+        e = k.astype(float)
+        at = k & (z != 0.0)
+        if at.any():
+            e[at] = apply(math.exp, z[at])
+        acc = acc + e
+    acc = np.where(have, acc, 1.0)
+    lg = np.zeros(acc.shape)
+    at = acc != 1.0
+    if at.any():
+        lg[at] = apply(math.log, acc[at])
+    out = np.where(have, m + lg / scale, -math.inf)
+    for i in np.flatnonzero(np.isnan(out)).tolist():
+        finite = [t for t in terms[:, i].tolist() if t != -math.inf]
+        mx = max(finite)
+        out[i] = mx + math.log(sum([math.exp(scale * (t - mx)) for t in finite])) / scale
+    return out.reshape(shape)
+
+
+_NEG_NAN = -np.float64(np.nan)
+_EDGES = [-0.0, 0.0, -math.inf, math.inf, math.nan, _NEG_NAN, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308,
+          -2.2e-308, 1.0, -745.5, 709.8]
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2", "Linf", None])
+@pytest.mark.parametrize("row", [_EDGES, [v for v in _EDGES if v < math.inf], [-0.0, -math.inf, 0.0]])
+def test_one_row_combine_is_the_general_combine(norm, row):
+    for shape in ((1, len(row)), (1, 1, len(row))):
+        terms = np.array(row, dtype=float).reshape(shape)
+        with np.errstate(all="ignore"):
+            got, want = combine_logs(norm, terms), reference_combine_logs(norm, terms.copy())
+        assert got.shape == want.shape == shape[1:]
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_EDGES)),
+                min_size=1, max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_one_row_combine_on_any_floats(row):
+    terms = np.array([row], dtype=float)
+    for norm in ("L1", "L2", "Linf", None):
+        with np.errstate(all="ignore"):
+            got, want = combine_logs(norm, terms), reference_combine_logs(norm, terms.copy())
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,22 @@ class TestSweep:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [r["verdict"] for r in rows] == ["unstable"]
 
+    def test_no_system_selected_exits_2_as_classify_does(self):
+        code, text = run_cli(["sweep", "--sweep", "a=1,2"])
+        doc = json.loads(text)
+        validate(doc)
+        assert code == 2
+        assert doc["error"] == "ConfigError: no system selected (use --system or a config file)"
+
+    def test_custom_system_from_the_config_file_wins_over_system(self, tmp_path):
+        # classify picks the custom system of a config file over --system; so does each sweep row
+        data = Path(__file__).parent / "data" / "custom_linf_dim2.json"
+        with_system, alone = tmp_path / "with.csv", tmp_path / "alone.csv"
+        assert run_cli(["sweep", "--config", str(data), "--system", "scalar_decay", "--sweep", "mu=1.5",
+                        "--out", str(with_system)])[0] == 0
+        assert run_cli(["sweep", "--config", str(data), "--sweep", "mu=1.5", "--out", str(alone)])[0] == 0
+        assert with_system.read_text() == alone.read_text()
+
     def test_oversized_sweep_rejected(self):
         code, _ = run_cli(
             ["sweep", "--system", "diag3", "--sweep", "alpha1=" + ",".join(["1"] * 40),

@@ -1,0 +1,12 @@
+"""The size of the program: its line count may fall, never rise."""
+
+from pathlib import Path
+
+# every line of src/skewflow/*.py, empty ones included (``wc -l``), when this guard was set
+LINE_BUDGET = 3444
+
+
+def test_the_source_stays_within_its_line_budget():
+    files = sorted((Path(__file__).resolve().parent.parent / "src" / "skewflow").glob("*.py"))
+    counts = {f.name: len(f.read_text().splitlines()) for f in files}
+    assert files and sum(counts.values()) <= LINE_BUDGET, counts

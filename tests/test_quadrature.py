@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from skewflow.errors import BudgetExceeded, NonFinite
-from skewflow.quadrature import integrate_finite, integrate_tail, sum_tail
+from skewflow.quadrature import _SLICE, integrate_finite, integrate_tail, simpson, sum_tail
+
+from test_bit_identity import batch, integrand, outcome, outcome_of, reference_simpson
 
 
 def test_constant_one():
@@ -193,6 +197,99 @@ class TestBudgetBoundary:
         spent = len(calls) - 1 - calls[::-1].index(float(blocks - 1))
         assert spent > 0
         assert str(exc.value) == f"evaluation cap {need - 1 - spent} reached"
+
+
+def _checked(f):
+    """f as the batched kernel judges its values: one not finite, or an OverflowError, is a NonFinite."""
+    def g(x):
+        try:
+            v = f(x)
+        except OverflowError:
+            raise NonFinite(f"integrand overflowed at x={x}")
+        if not math.isfinite(v):
+            raise NonFinite(f"integrand returned {v} at x={x}")
+        return v
+    return g
+
+
+class TestLevelStep:
+    """Each shortcut of the batched level step against the depth-first reference, case by case.
+
+    Every integrand here has at most one point that is not finite, so the
+    depth-first order of evaluation meets the same first error as the
+    level order.
+    """
+
+    @staticmethod
+    def check(fs, a, b, tol, caps):
+        got = simpson(batch(fs), a, b, tol, caps)
+        want = [outcome(lambda: reference_simpson(_checked(f), *args)) for f, *args in zip(fs, a, b, tol, caps)]
+        assert [outcome_of(r) for r in got] == want
+        return want
+
+    def test_a_budget_that_binds_within_a_level(self):
+        # levels run whole until the one where the cap falls between two quarter points
+        need = integrate_finite(_wiggle, 0.0, 3.0, 1e-10).evaluations
+        caps = [need, need - 1, need - 5, need // 2, 4, 3, 2]
+        want = self.check([_wiggle] * len(caps), [0.0] * len(caps), [3.0] * len(caps), [1e-10] * len(caps), caps)
+        assert want[0][2] == need
+        assert all(w[0] == "BudgetExceeded" for w in want[1:])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_value_at_one_quarter_point(self, bad):
+        # 0.375 is a quarter point of the second level on [0, 3]
+        def f(x):
+            return bad if x == 0.375 else _wiggle(x)
+
+        want = self.check([f, _wiggle, f], [0.0, 0.0, 1.0], [3.0, 3.0, 3.0], [1e-10] * 3, [10 ** 6] * 3)
+        assert want[0] == ("NonFinite", f"integrand returned {bad} at x=0.375")
+        assert want[1][2] > 0 and want[2][2] > 0
+
+    def test_an_overflow_error_inside_a_batch(self):
+        def raising(x):
+            return math.exp(1000.0) if x == 0.375 else _wiggle(x)
+
+        # no cap binds in the first batch; in the second, the sixth evaluation on [0, 3] is at 0.375
+        want = self.check([_wiggle, raising, _wiggle], [0.0, 0.0, 0.5], [3.0] * 3, [1e-10] * 3, [10 ** 6] * 3)
+        assert want[1] == ("NonFinite", "integrand overflowed at x=0.375")
+        assert self.check([raising] * 2, [0.0] * 2, [3.0] * 2, [1e-10] * 2, [6, 5]) == [
+            ("NonFinite", "integrand overflowed at x=0.375"), ("BudgetExceeded", "evaluation cap 5 reached")]
+
+    def test_levels_that_accept_every_segment(self):
+        # a cubic is exact on the first level; |x - 1/2| on [0, 1] splits once, then every half is exact
+        cubic = lambda x: 2.0 - 3.0 * x + x * x + 4.0 * x ** 3
+        kink = lambda x: abs(x - 0.5)
+        want = self.check([cubic, kink, cubic, kink], [0.0, 0.0, -1.0, 0.0], [1.0, 1.0, 2.0, 1.0],
+                          [1e-10] * 4, [10 ** 6, 10 ** 6, 10 ** 6, 6])
+        assert [w[2] for w in want[:3]] == [5, 9, 5]
+        assert want[3] == ("BudgetExceeded", "evaluation cap 6 reached")
+
+    def test_a_batch_wider_than_a_slice(self):
+        # easy and hard integrands mixed, so levels have pieces of many widths; a few run out of budget
+        rng = np.random.default_rng(20080410)
+        n = _SLICE + 44
+        params = [(rng.uniform(-3, 3), rng.choice([0.0, 1.0, 20.0]), rng.uniform(-1, 2), rng.choice([0.0, 0.5]))
+                  for _ in range(n)]
+        fs = [integrand(p) for p in params]
+        a = rng.uniform(0.0, 4.0, n).tolist()
+        b = [lo + w for lo, w in zip(a, rng.uniform(0.0, 3.0, n).tolist())]
+        caps = [int(c) for c in rng.choice([10 ** 6, 40, 200], n, p=[0.9, 0.05, 0.05])]
+        want = self.check(fs, a, b, [1e-8] * n, caps)
+        assert any(w[0] == "BudgetExceeded" for w in want)
+
+    def test_an_integral_that_errs_while_the_others_go_on(self):
+        g, calls = _recording(_wiggle)
+        reference_simpson(g, 0.0, 3.0, 1e-10, 10 ** 6)
+        deep = calls[200]
+
+        def late(x):  # not finite at one point of a deep level
+            return math.nan if x == deep else _wiggle(x)
+
+        want = self.check([_wiggle, late, _wiggle, late, _wiggle], [0.0, 0.0, 1.0, 0.0, 0.0], [3.0] * 5,
+                          [1e-10] * 5, [10 ** 6, 10 ** 6, 10 ** 6, 30, 10 ** 6])
+        assert want[1] == ("NonFinite", f"integrand returned nan at x={deep}")
+        assert want[3] == ("BudgetExceeded", "evaluation cap 30 reached")
+        assert all(w[2] > 200 for w in want[0::2])
 
 
 @given(st.floats(min_value=0.1, max_value=3.0), st.floats(min_value=0.5, max_value=8.0))

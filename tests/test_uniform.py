@@ -125,6 +125,17 @@ class TestHalfDecay:
         assert r.verdict == FAIL
         assert r.witness["norm_at_delta_max"] > 0.5
 
+    @pytest.mark.parametrize("mode, deltas", [("continuous", 50), ("discrete", 6)])
+    def test_a_fail_evaluates_each_delta_once(self, systems, monkeypatch, mode, deltas):
+        s = systems["bounded_ratio"]
+        env = estimate_growth(s, "uniform")
+        calls = []
+        log_norms = uniform.log_norms
+        monkeypatch.setattr(uniform, "log_norms", lambda *args: calls.append(args) or log_norms(*args))
+        r = half_decay_check(s, env, mode, 6.0)
+        assert r.verdict == FAIL
+        assert len(calls) == deltas
+
     def test_discrete_mode(self, systems):
         s = systems["scalar_decay"]
         env = estimate_growth(s, "uniform")
