@@ -348,6 +348,8 @@ def cmd_sweep(args) -> int:
     combos = list(itertools.product(*(ranges[n] for n in names))) if names else []
     if len(combos) > 1000:
         raise ConfigError(f"sweep has {len(combos)} combinations, cap is 1000")
+    if not combos:  # no row builds the system, so check that one is selected here
+        _build_system(cfg)
 
     def row(combo) -> list:
         system = _build_system(cfg, {**cfg.params, **dict(zip(names, combo))})

@@ -35,13 +35,13 @@ from .reports import (
 from .uniform import (
     _DATKO_IDS,
     NU_LADDER,
-    Skipped,
     UniformPanel,
     adjoint_witness,
     backward_integrals,
     divergence_witness,
     forward_tails,
     run_uniform_panel,
+    scan,
 )
 
 N_CAP_NONUNIFORM = 1e6
@@ -162,7 +162,6 @@ def test_datko_nonuniform(
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    cid = _DATKO_IDS[(form, time)] + "-nu"
     cap = min(config.tmax, system.horizons.tail_cap)
     n_cap = config.ncap_nonuniform
     echo = {"gauge": gauge.describe(), "alpha": alpha, "t_max": cap, "n_cap": n_cap}
@@ -170,51 +169,27 @@ def test_datko_nonuniform(
     if literal_threshold:
         echo["flag"] = "literal-threshold R(t0)"
 
-    per_t0: dict = {}
-    worst = None
-    sup_ratio = 0.0
-    skipped = None
-    for t0, x, v, result in forward_tails(system, form, time, gauge, config, alpha, first=0):
-        if isinstance(result, Skipped):
-            skipped = skipped or result
-            continue
-        if not result.converged:
-            return CriterionReport(
-                cid,
-                FAIL,
-                {"per_t0": sorted(per_t0.items()), "divergence": True, "n_cap": n_cap},
-                witness=divergence_witness(t0, x, v, result),
-                config_echo=echo,
-            )
-        denom = gauge(vec_norm(v, system.norm_choice)) if form == "vector" else 1.0
-        ratio = result.value / denom
-        per_t0[t0] = max(per_t0.get(t0, 0.0), ratio)
-        if ratio > sup_ratio:
-            sup_ratio = ratio
-            worst = (t0, x, v)
+    def ratio(probe):
+        return probe[3].value / (gauge(vec_norm(probe[2], system.norm_choice)) if form == "vector" else 1.0)
 
-    evidence = {"per_t0": sorted(per_t0.items()), "divergence": False, "n_cap": n_cap}
-    if literal_threshold:
-        bad = [(t0, r) for t0, r in sorted(per_t0.items()) if r >= gauge(t0) or gauge(t0) == 0.0]
-        evidence["literal_violations"] = bad
-        if bad:
-            t0 = bad[0][0]
-            return CriterionReport(
-                cid, FAIL, evidence,
-                witness=witness_dict(t0=t0, ratio=bad[0][1], threshold=gauge(t0)),
-                config_echo=echo,
-            )
-    elif worst is not None and sup_ratio > n_cap:
-        t0, x, v = worst
-        return CriterionReport(
-            cid, FAIL, evidence,
-            witness=witness_dict(t0=t0, x=x, v=v, ratio=sup_ratio),
-            config_echo=echo,
-        )
-    if skipped is not None:
-        evidence["band"] = skipped.band
-        return CriterionReport(cid, INCONCLUSIVE, evidence, config_echo=echo)
-    return CriterionReport(cid, PASS, evidence, config_echo=echo)
+    def evidence(s, stop=None):
+        return {"per_t0": sorted(s.per_t0.items()), "divergence": stop is not None, "n_cap": n_cap}
+
+    def end(s, ev):
+        if literal_threshold:
+            bad = [(t0, r) for t0, r in ev["per_t0"] if r >= gauge(t0) or gauge(t0) == 0.0]
+            ev["literal_violations"] = bad
+            if bad:
+                return FAIL, ev, witness_dict(t0=bad[0][0], ratio=bad[0][1], threshold=gauge(bad[0][0]))
+        elif s.worst is not None and s.sup > n_cap:
+            (t0, x, v, _), r = s.worst
+            return FAIL, ev, witness_dict(t0=t0, x=x, v=v, ratio=r)
+        if s.skipped is not None:
+            return INCONCLUSIVE, dict(ev, band=s.skipped.band), None
+        return PASS, ev, None
+
+    return scan(_DATKO_IDS[(form, time)] + "-nu", forward_tails(system, form, time, gauge, config, alpha, first=0),
+                echo, t0_at=0, quantity=ratio, early_fail=divergence_witness, evidence=evidence, end=end)
 
 
 def test_barbashin_nonuniform(
@@ -223,30 +198,24 @@ def test_barbashin_nonuniform(
     """Shifted-weight backward adjoint test with per-t0 constants."""
     if not alpha_or_gamma > 0.0:
         raise ValueError("the shift weight must be positive")
-    cid = "barbashin-nu" if time == "continuous" else "barbashin-d-nu"
     n_cap = config.ncap_nonuniform
-    echo = {"gauge": gauge.describe(), "alpha": alpha_or_gamma, "n_cap": n_cap}
 
-    per_t0: dict = {}
-    skipped = None
-    for t, t0, x, vstar, val in backward_integrals(system, time, gauge, config, alpha_or_gamma):
-        if isinstance(val, Skipped):
-            skipped = skipped or val
-            continue
-        per_t0[float(t0)] = max(per_t0.get(float(t0), 0.0), val)
-        if val > n_cap:
-            evidence = {"per_t0": sorted(per_t0.items()), "n_cap": n_cap, "early_exit": True}
-            return CriterionReport(
-                cid, FAIL, evidence, witness=adjoint_witness(t, t0, x, vstar, val), config_echo=echo
-            )
+    def evidence(s, stop=None):
+        ev = {"per_t0": sorted(s.per_t0.items()), "n_cap": n_cap}
+        return dict(ev, early_exit=True) if stop else ev
 
-    evidence = {"per_t0": sorted(per_t0.items()), "n_cap": n_cap}
-    if skipped is not None:
-        evidence["band"] = skipped.band
-        return CriterionReport(cid, INCONCLUSIVE, evidence, config_echo=echo)
-    if not any(per_t0.values()):
-        return CriterionReport(cid, INCONCLUSIVE, {"reason": "no probes"}, config_echo=echo)
-    return CriterionReport(cid, PASS, evidence, config_echo=echo)
+    def end(s, ev):
+        if s.skipped is not None:
+            return INCONCLUSIVE, dict(ev, band=s.skipped.band), None
+        if not any(s.per_t0.values()):
+            return INCONCLUSIVE, {"reason": "no probes"}, None
+        return PASS, ev, None
+
+    return scan("barbashin-nu" if time == "continuous" else "barbashin-d-nu",
+                backward_integrals(system, time, gauge, config, alpha_or_gamma),
+                {"gauge": gauge.describe(), "alpha": alpha_or_gamma, "n_cap": n_cap},
+                t0_at=1, quantity=lambda p: p[4], early_fail=lambda p: adjoint_witness(*p) if p[4] > n_cap else None,
+                evidence=evidence, end=end)
 
 
 # ---------------------------------------------------------------------------

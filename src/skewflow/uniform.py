@@ -267,11 +267,13 @@ class Skipped:
 def _with_halving(run, a, horizon):
     """run(idx, horizons) on the probes idx, halving beyond a_i the horizon of each that overflowed or ran out of budget.
 
-    Either means the horizon was too long for the integrand's range, so the
-    divergence signal is recovered at the largest finite horizon; only the
-    probes that failed run again.  A probe is Skipped when no horizon longer
-    than 2 fits, naming its last failure (or the horizon itself when none
-    was tried).
+    An overflow means the horizon was too long for the integrand's range,
+    so the divergence signal is recovered at the largest finite horizon.
+    A budget says nothing of divergence: a tail left unsettled at a horizon
+    that the budget shortened stays Skipped("budget").  Only the probes that
+    failed run again.  A probe is Skipped when no horizon longer than 2
+    fits, naming its last failure (or the horizon itself when none was
+    tried).
     """
     out = [Skipped("horizon")] * len(a)
     h = list(horizon)
@@ -284,7 +286,7 @@ def _with_halving(run, a, horizon):
                 h[i] = a[i] + (h[i] - a[i]) / 2.0
                 if h[i] > a[i] + 2.0:
                     again.append(i)
-            else:
+            elif r.converged or out[i].cause != "budget":
                 out[i] = r
         todo = again
     return out
@@ -429,12 +431,11 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
         yield t, t0, x, w, value
 
 
-def divergence_witness(t0, x, v, result) -> dict:
-    """Witness of a forward tail that did not settle before its horizon."""
-    return witness_dict(
-        t0=t0, x=x, v=v, partial=result.value,
-        truncation_horizon=result.truncation_horizon, converged=False,
-    )
+def divergence_witness(probe) -> dict | None:
+    """Witness of a forward tail probe (t0, x, v, result) that did not settle before its horizon, else None."""
+    t0, x, v, result = probe
+    return None if result.converged else witness_dict(
+        t0=t0, x=x, v=v, partial=result.value, truncation_horizon=result.truncation_horizon, converged=False)
 
 
 def adjoint_witness(t, t0, x, vstar, value) -> dict:
@@ -443,6 +444,47 @@ def adjoint_witness(t, t0, x, vstar, value) -> dict:
     if vstar is not None:
         w["vstar"] = list(vstar)
     return w
+
+
+@dataclass
+class Scan:
+    """The probes of a stream with a value so far: per-t0 suprema, their supremum and its probe, the first Skipped."""
+
+    per_t0: dict
+    sup: float = 0.0
+    worst: tuple | None = None  # (probe, quantity) of sup
+    skipped: Skipped | None = None
+
+
+def scan(cid, probes, echo, *, t0_at, quantity, early_fail, evidence, end) -> CriterionReport:
+    """The report of an integral criterion, from its probe stream walked in probe order.
+
+    Each probe tuple ends with its result, and holds its t0 at ``t0_at``.
+    The first probe with a witness ``early_fail(probe)`` ends the scan as a
+    fail, with that witness and ``evidence(scan, (probe, quantity(probe)))``.
+    A budget-limited probe ends it as inconclusive, with ``evidence(scan)``,
+    its band and no witness: the run could not afford the criterion, so no
+    end-of-scan rule runs.  Other Skipped probes are passed over.  At the
+    end, ``end(scan, evidence(scan))`` gives the verdict, evidence and witness.
+    """
+    s = Scan({})
+    for probe in probes:
+        result = probe[-1]
+        if isinstance(result, Skipped):
+            if result.cause == "budget":
+                return CriterionReport(cid, INCONCLUSIVE, dict(evidence(s), band=result.band), config_echo=echo)
+            s.skipped = s.skipped or result
+            continue
+        q = quantity(probe)
+        t0 = float(probe[t0_at])
+        s.per_t0[t0] = max(s.per_t0.get(t0, 0.0), q)
+        witness = early_fail(probe)
+        if witness is not None:
+            return CriterionReport(cid, FAIL, evidence(s, (probe, q)), witness=witness, config_echo=echo)
+        if s.worst is None or q > s.sup:
+            s.sup, s.worst = q, (probe, q)
+    verdict, ev, w = end(s, evidence(s))
+    return CriterionReport(cid, verdict, ev, witness=w, config_echo=echo)
 
 
 def test_datko(system: System, form: str, time: str, gauge: Gauge, config) -> CriterionReport:
@@ -454,53 +496,31 @@ def test_datko(system: System, form: str, time: str, gauge: Gauge, config) -> Cr
     divergence witness; a settled tail lands in pass / inconclusive / fail
     bands at N_cap and 10*N_cap.
     """
-    cid = _DATKO_IDS[(form, time)]
     n_cap = config.ncap
     cap = min(config.tmax, system.horizons.tail_cap)
-    echo = {"gauge": gauge.describe(), "t_max": cap, "n_cap": n_cap, "tol": config.tol}
 
-    sup_ratio = 0.0
-    worst = None
-    skipped = None
-    per_t0: dict = {}
-    for t0, x, v, result in forward_tails(system, form, time, gauge, config):
-        denom = gauge(vec_norm(v, system.norm_choice) if form == "vector" else 1.0)
-        if denom == 0.0:
-            raise DegenerateProbe("gauge vanished on a unit probe vector")
-        if isinstance(result, Skipped):
-            skipped = skipped or result
-            continue
-        ratio = result.value / denom
-        per_t0[t0] = max(per_t0.get(t0, 0.0), ratio)
-        if not result.converged:
-            evidence = {"sup_ratio": ratio, "n_cap": n_cap, "per_t0": sorted(per_t0.items()),
-                        "divergence": True}
-            return CriterionReport(
-                cid, FAIL, evidence, witness=divergence_witness(t0, x, v, result), config_echo=echo
-            )
-        if ratio > sup_ratio:
-            sup_ratio = ratio
-            worst = (t0, x, v, result)
+    def denom(v):
+        return gauge(vec_norm(v, system.norm_choice) if form == "vector" else 1.0)
 
-    evidence = {
-        "sup_ratio": sup_ratio,
-        "n_cap": n_cap,
-        "per_t0": sorted(per_t0.items()),
-        "divergence": False,
-    }
-    if worst is not None and sup_ratio >= 10.0 * n_cap:
-        t0, x, v, result = worst
-        return CriterionReport(
-            cid,
-            FAIL,
-            evidence,
-            witness=witness_dict(t0=t0, x=x, v=v, partial=result.value, ratio=sup_ratio),
-            config_echo=echo,
-        )
-    if skipped is not None or sup_ratio > n_cap:
-        evidence["band"] = "ratio above cap" if sup_ratio > n_cap else skipped.band
-        return CriterionReport(cid, INCONCLUSIVE, evidence, config_echo=echo)
-    return CriterionReport(cid, PASS, evidence, config_echo=echo)
+    if any(denom(v) == 0.0 for v in system.vector_samples):
+        raise DegenerateProbe("gauge vanished on a unit probe vector")
+
+    def evidence(s, stop=None):
+        return {"sup_ratio": stop[1] if stop else s.sup, "n_cap": n_cap, "per_t0": sorted(s.per_t0.items()),
+                "divergence": stop is not None}
+
+    def end(s, ev):
+        if s.worst is not None and s.sup >= 10.0 * n_cap:
+            (t0, x, v, result), ratio = s.worst
+            return FAIL, ev, witness_dict(t0=t0, x=x, v=v, partial=result.value, ratio=ratio)
+        if s.skipped is not None or s.sup > n_cap:
+            return INCONCLUSIVE, dict(ev, band="ratio above cap" if s.sup > n_cap else s.skipped.band), None
+        return PASS, ev, None
+
+    return scan(_DATKO_IDS[(form, time)], forward_tails(system, form, time, gauge, config),
+                {"gauge": gauge.describe(), "t_max": cap, "n_cap": n_cap, "tol": config.tol},
+                t0_at=0, quantity=lambda p: p[3].value / denom(p[2]), early_fail=divergence_witness,
+                evidence=evidence, end=end)
 
 
 def test_barbashin(
@@ -514,36 +534,23 @@ def test_barbashin(
     records which hypothesis (uniform stability or growth) was established
     before running, since the two variants of this test differ only there.
     """
-    cid = _BARBASHIN_IDS[(form, time)]
     n_cap = config.ncap
-    echo = {"gauge": gauge.describe(), "n_cap": n_cap, "hypothesis": hypothesis, "tol": config.tol}
 
-    sup_val = 0.0
-    sup_bound = None
-    any_skipped = False
-    for t, t0, x, vstar, val in backward_integrals(
-        system, time, gauge, config, operator=time == "discrete"
-    ):
-        if isinstance(val, Skipped):
-            any_skipped = True
-            continue
-        if form == "vector-dual":
-            bound = gauge(n_cap * dual_norm(vstar, system.norm_choice))
-        else:
-            bound = n_cap
-        if val > bound:
-            evidence = {"sup_integral": val, "bound": bound, "overflow_skipped": any_skipped,
-                        "early_exit": True}
-            return CriterionReport(
-                cid, FAIL, evidence, witness=adjoint_witness(t, t0, x, vstar, val), config_echo=echo
-            )
-        if sup_bound is None or val > sup_val:
-            sup_val, sup_bound = val, bound
+    def bound(probe):
+        return gauge(n_cap * dual_norm(probe[3], system.norm_choice)) if form == "vector-dual" else n_cap
 
-    if sup_bound is None:
-        return CriterionReport(cid, INCONCLUSIVE, {"reason": "no finite probes"}, config_echo=echo)
-    evidence = {"sup_integral": sup_val, "bound": sup_bound, "overflow_skipped": any_skipped}
-    return CriterionReport(cid, PASS, evidence, config_echo=echo)
+    def evidence(s, stop=None):
+        if (stop or s.worst) is None:
+            return {"reason": "no finite probes"}
+        probe, val = stop or s.worst
+        ev = {"sup_integral": val, "bound": bound(probe), "overflow_skipped": s.skipped is not None}
+        return dict(ev, early_exit=True) if stop else ev
+
+    return scan(_BARBASHIN_IDS[(form, time)],
+                backward_integrals(system, time, gauge, config, operator=time == "discrete"),
+                {"gauge": gauge.describe(), "n_cap": n_cap, "hypothesis": hypothesis, "tol": config.tol},
+                t0_at=1, quantity=lambda p: p[4], early_fail=lambda p: adjoint_witness(*p) if p[4] > bound(p) else None,
+                evidence=evidence, end=lambda s, ev: (INCONCLUSIVE if s.worst is None else PASS, ev, None))
 
 
 def test_discrete_decay(

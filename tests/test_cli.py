@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 
 from skewflow.cli import main
+from skewflow.gallery import GALLERY_NAMES
 
 
 def run_cli(args, out_path=None):
@@ -209,6 +210,13 @@ class TestSweep:
         assert code == 2
         assert doc["error"] == "ConfigError: no system selected (use --system or a config file)"
 
+    def test_no_system_and_no_range_exits_2_as_classify_does(self):
+        code, text = run_cli(["sweep"])
+        doc = json.loads(text)
+        validate(doc)
+        assert code == 2
+        assert doc["error"] == "ConfigError: no system selected (use --system or a config file)"
+
     def test_custom_system_from_the_config_file_wins_over_system(self, tmp_path):
         # classify picks the custom system of a config file over --system; so does each sweep row
         data = Path(__file__).parent / "data" / "custom_linf_dim2.json"
@@ -369,12 +377,25 @@ class TestMalformedEntries:
         assert doc["error"] == "ZeroDivisionError: no check foresaw this"
 
 
+INTEGRAL_CRITERIA = (
+    "datko-v", "datko-op", "datko-d", "barbashin-v", "barbashin-op", "barbashin-d",
+    "datko-v-nu", "datko-op-nu", "datko-d-nu", "barbashin-nu", "barbashin-d-nu",
+)
+
+
+def _by_id(text) -> dict:
+    return {r["criterion_id"]: r for r in json.loads(text)["criteria"]}
+
+
 class TestStarvedRuns:
     """A budget- or horizon-limited band is no detector result, so never a contradiction."""
 
     @pytest.mark.parametrize("argv", [
         ["--system", "scalar_decay", "--eval-cap", "0"],
         ["--system", "bounded_ratio", "--tmax", "2"],
+        # a budget-shortened tail read as divergence once made these exit 3
+        ["--system", "shift-metric-demo", "--eval-cap", "100"],
+        ["--system", "spike", "--eval-cap", "2000"],
     ])
     def test_starved_run_is_inconclusive(self, argv):
         code, text = run_cli(["classify", *argv])
@@ -382,6 +403,22 @@ class TestStarvedRuns:
         validate(doc)
         assert doc["contradictions"] == []
         assert code == 1
+
+    @pytest.fixture(scope="class")
+    def uncapped(self):
+        return {name: _by_id(run_cli(["classify", "--system", name])[1]) for name in GALLERY_NAMES}
+
+    @pytest.mark.parametrize("cap", [0, 100, 500, 2000])
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_a_starved_budget_never_invents_a_verdict(self, uncapped, name, cap):
+        """Each integral criterion reports the default budget's verdict and witness, or a budget-limited probe."""
+        got = _by_id(run_cli(["classify", "--system", name, "--eval-cap", str(cap)])[1])
+        for cid in INTEGRAL_CRITERIA:
+            r, want = got[cid], uncapped[name][cid]
+            if r["evidence"].get("band") == "budget-limited probe":
+                assert (r["verdict"], r["witness"]) == ("inconclusive", None), cid
+            else:
+                assert (r["verdict"], r["witness"]) == (want["verdict"], want["witness"]), cid
 
 
 class TestInconclusiveBands:

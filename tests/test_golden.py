@@ -27,7 +27,7 @@ GOLDEN = {
     ("classify", "--system", "scalar_decay"):
         "6f2dd77bb889b6d7c1a0faf2fcd015814d157779b6fcfd70b31544a516dc1604",
     ("classify", "--system", "bounded_ratio"):
-        "04f74bc8f040ae75e776adc589d01ef199813154dcf372addf0cd7d86d1e5a2b",
+        "8df8b5ac923b19e0e3e9a42d70e907e2837635e808d4d3481dca44c104e7a65e",
     ("classify", "--system", "tsint"):
         "81ccc207c339f31dcf889cbe5a6452a0600639d2a4a7529c4e7f291005658869",
     ("classify", "--system", "spike"):
@@ -52,16 +52,17 @@ GOLDEN = {
     # the exit-2 error document
     ("classify", "--system", "nosuch"):
         "fdaa7106e6ed27a6d9237d1af03f81678655971dfc6467054b2582a39669d290",
-    # quadrature's budget path (the sweep rows match the uncapped sweep's)
+    # quadrature's budget path: the labels match the uncapped sweep's, and the tails the
+    # budget cut short count as inconclusive, not as fails
     ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-1,0,0.5,1,2",
      "--eval-cap", "2000"):
-        "9d71f5c5a23ed7b52f00105c6b46d8990f912948f1be1bdcd0a73dbe37b8ec49",
+        "f4ca32357be897446de925d9ed4c40ebc32c537bc3c6481ebc7cfbf5b264b526",
     # the overflow path: every horizon halving of the discrete tails
     ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-4"):
         "99a6c42b0047832233060d304c874d2bdd6c9a3668f3ed2b8ff62254cdc7c954",
     # a starved run: every integral is budget-limited
     ("classify", "--system", "scalar_decay", "--eval-cap", "0"):
-        "6f34a6c97ebb0c6c9fb4788f27be2d202bb115965f0ff9702fa948330e0d08f3",
+        "553ca8a5fbb6bcc379f00b69c560e806b1b3053aa2d1e55411587629fe7a03db",
     # custom systems: the log-sum-exp path with scale 2 (L2) and the max path (Linf)
     ("classify", "--config", "tests/data/custom_l2_dim2.json"):
         "33795c4022f4e85b4b63d7da9c24ef280e44782102bfe1b70b159ed5c995860b",
@@ -82,10 +83,10 @@ GOLDEN = {
         "3c395bc7e8f0a14baefbf92aa27b7a37fcf483af0fa3e71b7f489816f3e99bc2",
     ("classify", "--system", "diag3", "--gauge", "pow:2"):
         "ecd8328e88ef96fd53a3e3735fce78cb180943049ece0b295e501bac6ef3179b",
-    # the budget trips in the middle of a tail and the horizon is halved; this pins the
-    # output as it stands, with the fail witness of a budget-shortened tail (ROADMAP item 3)
+    # the budget trips in the middle of a tail and the horizon is halved: the tail left
+    # unsettled at the shortened horizon is a budget-limited probe, which ends its scan
     ("classify", "--system", "spike", "--eval-cap", "500"):
-        "43cd79d56927c047ab4c5dd0de2505fce20d3b6d0a545e23db202473fcc58ffb",
+        "3fabe8efdd4561a5301da58a3475abf0d6e36bf3d6da1a36f08f60dc7e430cf9",
 }
 
 # config paths in the calls above are relative to the repository root

@@ -15,12 +15,12 @@ from skewflow.core import (
     log_operator_norm,
     log_vector_norm,
 )
-from skewflow.errors import MissingGrowthEnvelope
+from skewflow.errors import BudgetExceeded, MissingGrowthEnvelope, NonFinite
 from skewflow.gauges import make_gauge
 from skewflow.growth import estimate_growth
 from skewflow.nonuniform import test_datko_nonuniform as datko_nonuniform_check
 from skewflow.probes import discrete_pairs, ratio_data
-from skewflow.quadrature import integrate_finite, integrate_tail
+from skewflow.quadrature import IntegralResult, integrate_finite, integrate_tail
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
 from skewflow.uniform import (
     Skipped,
@@ -513,6 +513,24 @@ class TestSkippedCause:
         r = datko_check(exponential_system(800.0), "vector", time, IDENTITY, config)
         assert r.verdict == INCONCLUSIVE
         assert r.evidence["band"] == "overflow-limited probe"
+
+    @pytest.mark.parametrize("error, settles, expected", [
+        # a budget says nothing of divergence: a tail unsettled at the horizon it shortened decides nothing
+        (BudgetExceeded("cap"), False, Skipped("budget")),
+        (BudgetExceeded("cap"), True, "result"),
+        # an overflow does: the tail unsettled at the largest finite horizon is a divergence signal
+        (NonFinite("overflow"), False, "result"),
+    ])
+    def test_a_halved_horizon(self, error, settles, expected):
+        halved = IntegralResult(1.0, 0.0, settles, 10, 8.0)
+        horizons = []
+
+        def run(idx, h):
+            horizons.append(h)
+            return [error if len(horizons) == 1 else halved for _ in idx]
+
+        assert uniform._with_halving(run, [0.0], [16.0]) == [halved if expected == "result" else expected]
+        assert horizons == [[16.0], [8.0]]
 
     def test_adjoint_overflow_and_budget(self, config):
         s = exponential_system(800.0)
