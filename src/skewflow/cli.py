@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 
 from . import gallery
 from .config import ConfigError, RunConfig, load_config_file, merge_config
-from .core import System, check_cocycle_law, check_semiflow_law
+from .core import System, check_cocycle_law, check_semiflow_law, check_time_invariance
 from .errors import TimeOrderViolation
 from .gauges import make_gauge
 from .growth import estimate_growth, verify_growth
@@ -156,17 +156,16 @@ def cmd_axioms(args) -> int:
             probes.append((t, s, t0, system.state_samples[0], system.vector_samples[0]))
     semi = check_semiflow_law(system, probes)
     coc = check_cocycle_law(system, probes)
-    ok = (
-        semi.max_composition_dev <= tol
-        and semi.max_identity_dev <= tol
-        and coc.max_composition_dev <= tol
-        and coc.max_identity_dev <= tol
-    )
+    # a declared time invariance is a law too: a false declaration would share integrals wrongly
+    shift = check_time_invariance(system, probes) if system.time_invariant else None
+    devs = [semi.max_composition_dev, semi.max_identity_dev, coc.max_composition_dev, coc.max_identity_dev, shift]
+    ok = all(d is None or d <= tol for d in devs)
     doc = _base_doc("axioms", cfg)
     doc["system"] = system.name
     doc["laws"] = {
         "semiflow": semi.as_dict(),
         "cocycle": coc.as_dict(),
+        "time_invariance": shift,
         "tolerance": tol,
         "ok": ok,
     }
@@ -207,8 +206,10 @@ def check_ground_truth(system: System, verdict, cfg: RunConfig) -> list:
 
     For UES-tagged systems the full pass-set is required (forward tail
     tests re-run with the quadratic gauge as well); for tagged
-    non-uniformly-stable systems the vector forward tail test must fail.
-    A starved report (budget- or horizon-limited) is skipped.
+    non-uniformly-stable systems the vector forward tail test must fail
+    under the identity gauge (a bounded gauge bounds every tail).  The label
+    is held to the tag only under the identity gauge.  A starved report
+    (budget- or horizon-limited) is skipped.
     """
     tag = system.ground_truth
     if tag is None:
@@ -225,12 +226,14 @@ def check_ground_truth(system: System, verdict, cfg: RunConfig) -> list:
             r = test_datko(system, form, time, make_gauge("pow:2"), cfg)
             if r.verdict != PASS and not starved(r):
                 out.append(f"tag UES but {r.criterion_id} with pow:2 returned {r.verdict}")
-    if tag in ("US-not-UES", "ES-not-UES") and "datko-v" in by_id:
-        r = by_id["datko-v"]
-        if r.verdict != FAIL:
+    identity = make_gauge("identity")
+    if tag in ("US-not-UES", "ES-not-UES"):  # memoized: under the identity gauge, the panel's own datko-v
+        r = test_datko(system, "vector", "continuous", identity, cfg)
+        if r.verdict != FAIL and not starved(r):
             out.append(f"tag {tag} but datko-v did not fail with a witness")
     compatible = TAG_COMPATIBLE.get(tag)
-    if compatible and verdict.label != "inconclusive" and verdict.label not in compatible:
+    if (compatible and make_gauge(cfg.gauge) == identity and verdict.label != "inconclusive"
+            and verdict.label not in compatible):
         out.append(f"tag {tag} contradicted by computed verdict {verdict.label}")
     return out
 

@@ -153,9 +153,12 @@ class System:
     the system's contract.  ``vector_samples`` must be unit vectors in
     ``norm_choice``; ``dual_samples`` unit in the dual norm.  The cocycle
     is any object with a ``log_diag(t, s, x)`` method returning the logs of
-    its diagonal entries' magnitudes.  ``memo`` holds the integral results
-    computed for this system; a copy made with ``dataclasses.replace``
-    starts with an empty one.
+    its diagonal entries' magnitudes.  ``time_invariant`` declares that
+    ``log_diag(t, s, x)`` and ``semiflow(t, s, x)`` depend on t and s only
+    through t - s; the integral criteria then share an integral between
+    starting times (see ``uniform.forward_tails``), and ``axioms`` checks the
+    declaration.  ``memo`` holds the integral results computed for this
+    system; a copy made with ``dataclasses.replace`` starts with an empty one.
     """
 
     name: str
@@ -168,6 +171,7 @@ class System:
     dual_samples: tuple
     ground_truth: str | None = None
     horizons: Horizons = Horizons()
+    time_invariant: bool = False
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -316,27 +320,6 @@ def log_norms(system: System, t, s, x, lw=None, dual: bool = False) -> np.ndarra
     return combine_logs(_DUAL[system.norm_choice] if dual else system.norm_choice, g + lw)
 
 
-def log_norm_path(system: System, w=None, dual: bool = False):
-    """(t, s, x) -> log ||Phi(t, s, x) w|| on arrays (see ``log_norms``), built once per probe vector w."""
-    lw = None if w is None else log_abs(w)[:, None]
-    return lambda t, s, x: log_norms(system, t, s, x, lw, dual)
-
-
-def log_vector_norm(system: System, t: float, s: float, x: StatePoint, v) -> float:
-    """log ||Phi(t, s, x) v||, computed without forming huge or tiny exponentials."""
-    return float(log_norm_path(system, v)(t, s, x)[0])
-
-
-def log_operator_norm(system: System, t: float, s: float, x: StatePoint) -> float:
-    """log of the induced norm of Phi(t, s, x)."""
-    return float(log_norm_path(system)(t, s, x)[0])
-
-
-def log_adjoint_dual_norm(system: System, t: float, s: float, x: StatePoint, vstar) -> float:
-    """log of the dual norm of Phi(t, s, x)^T applied to a functional."""
-    return float(log_norm_path(system, vstar, dual=True)(t, s, x)[0])
-
-
 # ---------------------------------------------------------------------------
 # flow-law checks
 
@@ -395,3 +378,18 @@ def check_cocycle_law(system: System, probes) -> LawReport:
         ident = max(ident, vec_norm(same - np.asarray(v, dtype=float), system.norm_choice))
         count += 1
     return LawReport(comp, ident, count)
+
+
+def check_time_invariance(system: System, probes) -> float:
+    """Largest deviation of log_diag and of the semiflow at (t + t0, s + t0, x) from their values at (t, s, x).
+
+    Probes are (t, s, t0, x, v) tuples; log_diag deviates by the largest
+    difference of its logs.  A time-invariant system deviates by rounding.
+    """
+    dev = 0.0
+    for t, s, t0, x, _ in probes:
+        a, b = (np.asarray(system.cocycle.log_diag(t + d, s + d, x), dtype=float) for d in (t0, 0.0))
+        gap = np.nan_to_num(np.where(a == b, 0.0, np.abs(a - b)), nan=np.inf, posinf=np.inf)  # nan: no match
+        dev = max(dev, float(gap.max()),
+                  state_distance(system.semiflow(t + t0, s + t0, x), system.semiflow(t, s, x)))
+    return dev

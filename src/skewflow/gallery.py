@@ -306,7 +306,7 @@ def _as_float(params, key):
         raise InvalidParams(f"parameter {key} must be a number, got {v!r}")
 
 
-def _system(name, cocycle, states, ground_truth, horizons=Horizons(), dimension=1, norm="L1"):
+def _system(name, cocycle, states, ground_truth, horizons=Horizons(), dimension=1, norm="L1", time_invariant=False):
     """A system moved by the translation semiflow, probed with the standard vectors."""
     vectors, duals = _probe_vectors(dimension, norm)
     return System(
@@ -320,6 +320,7 @@ def _system(name, cocycle, states, ground_truth, horizons=Horizons(), dimension=
         dual_samples=duals,
         ground_truth=ground_truth,
         horizons=horizons,
+        time_invariant=time_invariant,
     )
 
 
@@ -342,6 +343,7 @@ def _build_hump(name, coeffs, l):
         _shift_states((-2.0, 0.0, 1.5, math.inf)),
         tag,
         dimension=len(coeffs),
+        time_invariant=True,
     )
 
 
@@ -359,6 +361,7 @@ def _build_scalar_decay(params):
         DecayingShiftCocycle(mu),
         _shift_states(tuple(float(t) for t in thetas)),
         "UES",
+        time_invariant=True,
     )
 
 
@@ -370,6 +373,7 @@ def _build_bounded_ratio(params):
         BoundedRatioCocycle(params["c"]),
         _real_states((0.0, 1.0, 3.0)),
         "US-not-UES",
+        time_invariant=True,
     )
 
 
@@ -466,4 +470,5 @@ def build_custom(spec: dict) -> System:
         Horizons(**{k: _as_float(spec, k) for k in ("s_max", "lag_max", "tail_cap") if k in spec}),
         dimension=len(entries),
         norm=spec.get("norm", "L1"),
+        time_invariant=all(term["kind"] == "linear" for terms in entries for term in terms),
     )

@@ -24,11 +24,8 @@ is then the ``NonFinite`` or ``BudgetExceeded`` instance.  Precedence:
 evaluations run level by level, within a level segment by segment from
 left to right, and the cap is checked before each; an integral that meets
 a non-finite value or Simpson sum before its cap in that order fails with
-``NonFinite``, otherwise with ``BudgetExceeded``.
-
-``integrate_finite``, ``integrate_tail`` and ``sum_tail`` are batches of one
-over a scalar callable ``f``: ``f`` is called point by point, never past the
-cap, and the error is raised.
+``NonFinite``, otherwise with ``BudgetExceeded``.  A series term counts as
+one evaluation.
 """
 
 from __future__ import annotations
@@ -269,11 +266,12 @@ def tails(F, a, horizon_caps, tol: float, eval_cap: int = EVAL_CAP, block: float
     return [r if r is not None else IntegralResult(0.0, 0.0, False, 0, end[i]) for i, r in enumerate(out)]
 
 
-def series(F, n0, tol: float, caps, window: int = 1) -> list:
+def series(F, n0, tol: float, caps, eval_cap: int = EVAL_CAP, window: int = 1) -> list:
     """Partial sums of F(n0_i) + F(n0_i + 1) + ...: a result or error each.
 
-    A sum stops after three consecutive settled terms (converged) or after
-    ``cap_i`` terms (``converged = False``).  A round evaluates the next
+    A sum stops after three consecutive settled terms (converged), after
+    ``cap_i`` terms (``converged = False``), or with ``BudgetExceeded`` when
+    it would need more than ``eval_cap`` terms.  A round evaluates the next
     terms of every running sum in one call of F, as many as ``tails`` takes
     blocks; the terms past a sum's stop are dropped.
     """
@@ -284,7 +282,13 @@ def series(F, n0, tol: float, caps, window: int = 1) -> list:
     active = list(range(len(k)))
     ahead = min(window, 16)
     while active:
-        plan = [(i, k[i] + j) for i in active for j in range(min(ahead, caps[i] - terms[i]))]
+        for i in active:
+            if terms[i] >= eval_cap:
+                out[i] = BudgetExceeded(f"evaluation cap {eval_cap} reached")
+        active = [i for i in active if out[i] is None]
+        if not active:
+            break
+        plan = [(i, k[i] + j) for i in active for j in range(min(ahead, caps[i] - terms[i], eval_cap - terms[i]))]
         values, over = evaluate(F, np.array([p[1] for p in plan], dtype=float), np.array([p[0] for p in plan]))
         for (i, n), term, raised in zip(plan, values.tolist(), over.tolist()):
             if out[i] is not None:
@@ -307,28 +311,3 @@ def series(F, n0, tol: float, caps, window: int = 1) -> list:
         active = [i for i in active if out[i] is None]
         ahead = min(window, 2 * ahead)
     return out
-
-
-def _one(kernel, f, *args, convert=float) -> IntegralResult:
-    """A batch of one over the scalar f, called point by point: its result, or its error raised."""
-    (r,) = kernel(lambda x, k: np.array([float(f(v)) for v in map(convert, x.tolist())]), *args)
-    if isinstance(r, Exception):
-        raise r
-    return r
-
-
-def integrate_finite(f, a: float, b: float, tol: float, eval_cap: int = EVAL_CAP,
-                     rel_tol: float = 1e-9) -> IntegralResult:
-    """Adaptive Simpson estimate of the integral of a scalar f over [a, b] (see ``simpson``)."""
-    return _one(simpson, f, [a], [b], [tol], [eval_cap], rel_tol)
-
-
-def integrate_tail(f, a: float, tol: float, horizon_cap: float, eval_cap: int = EVAL_CAP,
-                   block: float = 1.0) -> IntegralResult:
-    """Integral of a scalar f over [a, inf), truncated adaptively (see ``tails``)."""
-    return _one(tails, f, [a], [horizon_cap], tol, eval_cap, block)
-
-
-def sum_tail(f, n0: int, tol: float, cap: int) -> IntegralResult:
-    """Partial sum of f(n0) + f(n0+1) + ... for a scalar f (see ``series``)."""
-    return _one(series, f, [n0], tol, [cap], convert=int)

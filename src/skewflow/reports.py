@@ -70,10 +70,7 @@ class StabilityVerdict:
     growth: dict = field(default_factory=dict)
 
     def report(self, criterion_id: str) -> CriterionReport | None:
-        for r in self.criteria:
-            if r.criterion_id == criterion_id:
-                return r
-        return None
+        return next((r for r in self.criteria if r.criterion_id == criterion_id), None)
 
     def as_dict(self) -> dict:
         return {

@@ -39,7 +39,7 @@ from .probes import (
     s_grid,
     tail_probes,
 )
-from .quadrature import evaluate, series, simpson, tails
+from .quadrature import IntegralResult, evaluate, series, simpson, tails
 from .reports import (
     FAIL,
     INCONCLUSIVE,
@@ -189,10 +189,8 @@ def test_half_decay(
     if growth_env is None or growth_env.dubious:
         raise MissingGrowthEnvelope("half-decay requires a verified growth envelope")
     cid = "half-decay" if mode == "continuous" else "half-decay-d"
-    if mode == "continuous":
-        deltas = [round(1.1 + 0.1 * k, 10) for k in range(int(round((delta_max - 1.1) / 0.1)) + 1)]
-    else:
-        deltas = [float(k) for k in range(1, int(delta_max) + 1)]
+    deltas = ([round(1.1 + 0.1 * k, 10) for k in range(int(round((delta_max - 1.1) / 0.1)) + 1)]
+              if mode == "continuous" else [float(k) for k in range(1, int(delta_max) + 1)])
     log_half = math.log(HALF_DECAY_THRESHOLD)
     vectors = system.vector_samples if mode == "continuous" else (None,)
     grid = [(s, x, v) for s in s_grid(system.horizons.s_max) for x in system.state_samples
@@ -304,24 +302,26 @@ def _norm_class(w):
     return None if cls == (1.0,) else cls
 
 
-def _memoized(memo: dict, keys: list, compute):
-    """(position, memo[key]) for each key in order, computing the missing ones in batches.
+def _memoized(memo: dict, n: int, key, compute):
+    """(position, memo[key(position)]) for positions 0..n-1 in order, computing the missing ones in batches.
 
     ``compute(positions)`` returns the results for those keys.  A batch
     holds the next 1, 2, 4, ... distinct missing keys, so a caller that
-    stops at its k-th probe has computed at most 2k - 1.
+    stops at its k-th probe has computed at most 2k - 1.  ``key`` may read
+    the memo: a position's key is taken again when it is reached.
     """
     sizes = (2 ** i for i in itertools.count())
-    for i, key in enumerate(keys):
-        if key not in memo:
+    for i in range(n):
+        if key(i) not in memo:
             size, batch = next(sizes), {}
-            for j in range(i, len(keys)):
-                if keys[j] not in memo and keys[j] not in batch:
-                    batch[keys[j]] = j
+            for j in range(i, n):
+                kj = key(j)
+                if kj not in memo and kj not in batch:
+                    batch[kj] = j
                     if len(batch) == size:
                         break
             memo.update(zip(batch, compute(list(batch.values()))))
-        yield i, memo[key]
+        yield i, memo[key(i)]
 
 
 def _logs(vectors):
@@ -341,16 +341,30 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
     it keeps one probe per (t0, x).  Continuous tails run from t0 to the
     horizon cap; discrete sums run over n >= floor(t0) + first, with as many
     terms as the cap.  Each distinct tail is computed once per system, and
-    the missing ones are computed together (see ``_memoized``).
+    the missing ones are computed together (see ``_memoized``).  On a
+    time-invariant system the integrand is one function of s - t0 (t0 runs
+    over integers), so the tail from the first t0 of (x, norm class) serves
+    each later t0 whose horizon it settled within; an unsettled or Skipped
+    tail is computed per t0, so its witness stays its own.
     """
     cap = min(config.tmax, system.horizons.tail_cap)
     lead = system.vector_samples[0]
     probes = [(t0, x, v) for t0, x, v in tail_probes(system) if form == "vector" or v is lead]
-    keys = [(t0, x, _norm_class(v if form == "vector" else None)) for t0, x, v in probes]
+    classes = [_norm_class(v if form == "vector" else None) for _, _, v in probes]
     # keyed by everything the integrand and the quadrature read
     memo = system.memo.setdefault(
         ("tail", time, gauge, alpha, first if time == "discrete" else None,
          cap, config.tol, config.eval_cap), {})
+
+    def horizon(t0):  # where the tail from t0 stops at the latest
+        return cap if time == "continuous" else math.floor(t0) + first + int(cap)
+
+    def key(p):
+        t0, x, _ = probes[p]
+        start, r = memo.get((None, x, classes[p]), (t0, None))
+        shared = system.time_invariant and (r is None or start == t0 or isinstance(r, IntegralResult) and (
+            r.converged and r.truncation_horizon - start <= horizon(t0) - t0))
+        return None if shared else t0, x, classes[p]
 
     def compute(positions):
         t0s = np.array([probes[p][0] for p in positions])
@@ -374,11 +388,12 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
         n0 = [math.floor(t0) + first for t0 in t0s.tolist()]
         return _with_halving(
             lambda idx, h: series(on(idx), [n0[i] for i in idx], config.tol,
-                                  [int(hi - n0[i]) for i, hi in zip(idx, h)], window=AHEAD),
-            n0, [n + int(cap) for n in n0],
+                                  [int(hi - n0[i]) for i, hi in zip(idx, h)], config.eval_cap, window=AHEAD),
+            n0, [horizon(t0) for t0 in t0s.tolist()],
         )
 
-    for i, result in _memoized(memo, keys, compute):
+    # each result is stored with the t0 it ran from
+    for i, (_, result) in _memoized(memo, len(probes), key, lambda ps: zip([probes[p][0] for p in ps], compute(ps))):
         yield (*probes[i], result)
 
 
@@ -392,12 +407,15 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
     its sum.  With ``operator`` the induced norm of
     Phi(t,s,phi(s,t0,x)) replaces the dual vector norm, with one probe per
     (t, t0, x) and vstar None.  Each distinct integral is computed once per
-    system, and the missing ones are computed together (see ``_memoized``).
+    system, and the missing ones are computed together (see ``_memoized``);
+    on a time-invariant system the integrand depends on t and t0 only through
+    t - t0, so one integral serves every (t, t0) of the same length.  A
+    discrete sum of more terms than the evaluation cap is Skipped("budget").
     """
     pairs = backward_pairs(system) if time == "continuous" else discrete_pairs(system)
     probes = [(t, t0, x, w) for t, t0 in pairs for x in system.state_samples
               for w in ((None,) if operator else system.dual_samples)]
-    keys = [(t, t0, x, _norm_class(w)) for t, t0, x, w in probes]
+    keys = [((t - t0,) if system.time_invariant else (t, t0)) + (x, _norm_class(w)) for t, t0, x, w in probes]
     memo = system.memo.setdefault(
         ("adjoint", time, gauge, alpha, config.tol, config.eval_cap), {})
 
@@ -418,15 +436,16 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
                               [config.eval_cap] * len(positions))
             return [r.value if not isinstance(r, Exception) else Skipped.after(r) for r in results]
         spans = [range(probes[p][1], probes[p][0] + 1) for p in positions]
+        spans = [r if len(r) <= config.eval_cap else range(0) for r in spans]
         k = np.repeat(np.arange(len(spans)), [len(r) for r in spans])
         with np.errstate(all="ignore"):
             y, over = evaluate(integrand, np.array([float(n) for r in spans for n in r]), k)
         # a term that raised OverflowError skips its sum; any other term is added, in order
-        return [Skipped("overflow") if over[j - len(r):j].any() else
+        return [Skipped("budget") if not r else Skipped("overflow") if over[j - len(r):j].any() else
                 functools.reduce(float.__add__, y[j - len(r):j].tolist(), 0.0)
                 for r, j in zip(spans, itertools.accumulate(map(len, spans)))]
 
-    for i, value in _memoized(memo, keys, compute):
+    for i, value in _memoized(memo, len(keys), keys.__getitem__, compute):
         t, t0, x, w = probes[i]
         yield t, t0, x, w, value
 
@@ -588,10 +607,7 @@ class UniformPanel:
     discrepancies: list
 
     def report(self, cid: str) -> CriterionReport | None:
-        for r in self.reports:
-            if r.criterion_id == cid:
-                return r
-        return None
+        return next((r for r in self.reports if r.criterion_id == cid), None)
 
 
 # criteria whose fail witness rules out UES; a UES tag requires each to pass

@@ -7,11 +7,58 @@ import numpy as np
 import pytest
 
 from skewflow import RunConfig, gallery
-from skewflow.core import System, cocycle_matrix, combine_logs, log_abs, log_operator_norm
+from skewflow.core import System, cocycle_matrix, combine_logs, log_abs, log_norms
 from skewflow.errors import NonFinite
 from skewflow.nonuniform import run_nonuniform_panel
 from skewflow.probes import ratio_data
+from skewflow.quadrature import EVAL_CAP, IntegralResult, series, simpson, tails
 from skewflow.uniform import run_uniform_panel
+
+
+def log_norm_path(system: System, w=None, dual: bool = False):
+    """(t, s, x) -> log ||Phi(t, s, x) w|| on arrays (see ``core.log_norms``), built once per probe vector w."""
+    lw = None if w is None else log_abs(w)[:, None]
+    return lambda t, s, x: log_norms(system, t, s, x, lw, dual)
+
+
+def log_vector_norm(system: System, t: float, s: float, x, v) -> float:
+    """log ||Phi(t, s, x) v||."""
+    return float(log_norm_path(system, v)(t, s, x)[0])
+
+
+def log_operator_norm(system: System, t: float, s: float, x) -> float:
+    """log of the induced norm of Phi(t, s, x)."""
+    return float(log_norm_path(system)(t, s, x)[0])
+
+
+def log_adjoint_dual_norm(system: System, t: float, s: float, x, vstar) -> float:
+    """log of the dual norm of Phi(t, s, x)^T applied to a functional."""
+    return float(log_norm_path(system, vstar, dual=True)(t, s, x)[0])
+
+
+def _one(kernel, f, *args, convert=float) -> IntegralResult:
+    """A batch of one of a quadrature kernel over the scalar f, called point by point: its result, or its error raised."""
+    (r,) = kernel(lambda x, k: np.array([float(f(v)) for v in map(convert, x.tolist())]), *args)
+    if isinstance(r, Exception):
+        raise r
+    return r
+
+
+def integrate_finite(f, a: float, b: float, tol: float, eval_cap: int = EVAL_CAP,
+                     rel_tol: float = 1e-9) -> IntegralResult:
+    """Adaptive Simpson estimate of the integral of a scalar f over [a, b] (see ``quadrature.simpson``)."""
+    return _one(simpson, f, [a], [b], [tol], [eval_cap], rel_tol)
+
+
+def integrate_tail(f, a: float, tol: float, horizon_cap: float, eval_cap: int = EVAL_CAP,
+                   block: float = 1.0) -> IntegralResult:
+    """Integral of a scalar f over [a, inf), truncated adaptively (see ``quadrature.tails``)."""
+    return _one(tails, f, [a], [horizon_cap], tol, eval_cap, block)
+
+
+def sum_tail(f, n0: int, tol: float, cap: int, eval_cap: int = EVAL_CAP) -> IntegralResult:
+    """Partial sum of f(n0) + f(n0+1) + ... for a scalar f (see ``quadrature.series``)."""
+    return _one(series, f, [n0], tol, [cap], eval_cap, convert=int)
 
 
 def exponential_system(rate: float = -1.0, lag_max: float = 1024.0) -> System:

@@ -20,11 +20,10 @@ from skewflow.core import (
 from skewflow.gauges import make_gauge
 from skewflow.nonuniform import fit_nonuniform_decay
 from skewflow.probes import law_probes
-from skewflow.quadrature import integrate_finite, integrate_tail, sum_tail
 from skewflow.reports import FAIL, PASS
 from skewflow.uniform import fit_exponential_decay
 
-from conftest import exponential_system, operator_norm, shift_cocycle
+from conftest import exponential_system, integrate_finite, integrate_tail, operator_norm, shift_cocycle, sum_tail
 
 import io
 from contextlib import redirect_stdout

@@ -397,16 +397,22 @@ class _OnlyLogDiag:
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 
 
-def classify(name):
+def run(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        main(["classify", "--system", name])
+        main(list(argv))
     return _TIMESTAMP.sub('"timestamp": ""', buf.getvalue())
 
 
-@pytest.mark.parametrize("name", ["diag3", "spike"])
-def test_a_cocycle_with_only_log_diag_gives_the_same_report(monkeypatch, name):
-    expected = classify(name)
+# what perfbench's traced run does: each built system gets a log_diag-only cocycle, so a
+# report must not depend on anything else the cocycle carries (time invariance is the
+# system's declaration, not the cocycle's)
+@pytest.mark.parametrize("argv", [("classify", "--system", name) for name in gallery.GALLERY_NAMES] + [
+    ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-1,0,0.5,1,2"),
+    ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-1,0,0.5,1,2", "--eval-cap", "2000"),
+], ids=lambda argv: argv[2] if argv[0] == "classify" else " ".join(argv))
+def test_a_cocycle_with_only_log_diag_gives_the_same_report(monkeypatch, argv):
+    expected = run(argv)
     build = gallery.build
 
     def wrapped(*args, **kwargs):
@@ -414,4 +420,4 @@ def test_a_cocycle_with_only_log_diag_gives_the_same_report(monkeypatch, name):
         return dataclasses.replace(system, cocycle=_OnlyLogDiag(system.cocycle.log_diag))
 
     monkeypatch.setattr(gallery, "build", wrapped)
-    assert classify(name) == expected
+    assert run(argv) == expected

@@ -284,6 +284,22 @@ class TestGroundTruthContradiction:
         assert code == 3
         assert doc["contradictions"]
 
+    @pytest.mark.parametrize("gauge", ["sat:1", "pow:2"])
+    def test_the_tag_is_judged_under_the_identity_gauge(self, gauge):
+        # a bounded gauge bounds every tail, so datko-v cannot fail under it; this once exited 3
+        code, text = run_cli(["classify", "--system", "spike", "--gauge", gauge])
+        doc = json.loads(text)
+        validate(doc)
+        assert doc["contradictions"] == [] and code != 3
+
+    def test_a_wrong_tag_is_caught_under_any_gauge(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_system": {
+            "name": "mislabeled", "entries": [[{"kind": "linear", "coef": -1.0}]], "ground_truth": "ES-not-UES"}}))
+        code, text = run_cli(["classify", "--config", str(cfg), "--gauge", "sat:1"])
+        assert code == 3
+        assert json.loads(text)["contradictions"] == ["tag ES-not-UES but datko-v did not fail with a witness"]
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("flag, value", [
@@ -403,6 +419,13 @@ class TestStarvedRuns:
         validate(doc)
         assert doc["contradictions"] == []
         assert code == 1
+
+    def test_the_evaluation_cap_bounds_the_discrete_sums(self):
+        # each sum counts its terms against the cap; they once ran in full and passed
+        got = _by_id(run_cli(["classify", "--system", "scalar_decay", "--eval-cap", "0"])[1])
+        for cid in ("datko-d", "barbashin-d", "datko-d-nu", "barbashin-d-nu"):
+            assert got[cid]["verdict"] == "inconclusive", cid
+            assert got[cid]["evidence"]["band"] == "budget-limited probe", cid
 
     @pytest.fixture(scope="class")
     def uncapped(self):

@@ -19,14 +19,20 @@ from skewflow.core import (
     check_semiflow_law,
     cocycle_matrix,
     dual_norm,
-    log_norm_path,
-    log_vector_norm,
     vec_norm,
 )
 from skewflow.errors import InvalidParams, NonFinite, TimeOrderViolation
 from skewflow.probes import law_probes
 
-from conftest import apply_adjoint, exponential_system, log_combiner, operator_norm, shift_cocycle
+from conftest import (
+    apply_adjoint,
+    exponential_system,
+    log_combiner,
+    log_norm_path,
+    log_vector_norm,
+    operator_norm,
+    shift_cocycle,
+)
 
 
 def state(v, kind=ABSTRACT_REAL):

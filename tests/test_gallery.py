@@ -8,9 +8,8 @@ import pytest
 from skewflow import gallery
 from skewflow.core import SHIFT_PARAMETER, StatePoint, apply_cocycle
 from skewflow.errors import InvalidParams
-from skewflow.quadrature import integrate_finite
 
-from conftest import operator_norm
+from conftest import integrate_finite, operator_norm
 
 
 def test_gallery_names_and_tags(systems):

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from skewflow import RunConfig
-from skewflow.core import log_vector_norm
 from skewflow.gauges import make_gauge
 from skewflow.nonuniform import (
     fit_nonuniform_decay,
@@ -17,7 +16,7 @@ from skewflow.nonuniform import (
 from skewflow.probes import ratio_data
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
 
-from conftest import exponential_system, shift_cocycle
+from conftest import exponential_system, log_vector_norm, shift_cocycle
 
 IDENTITY = make_gauge("identity")
 

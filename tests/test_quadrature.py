@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import numpy as np
 
 from skewflow.errors import BudgetExceeded, NonFinite
-from skewflow.quadrature import _SLICE, integrate_finite, integrate_tail, simpson, sum_tail
+from skewflow.quadrature import _SLICE, simpson
 
+from conftest import integrate_finite, integrate_tail, sum_tail
 from test_bit_identity import batch, integrand, outcome, outcome_of, reference_simpson
 
 
@@ -141,6 +142,28 @@ def test_nonfinite_integrand_raises():
 def test_budget_cap():
     with pytest.raises(BudgetExceeded):
         integrate_finite(lambda t: math.sin(1.0 / (t + 1e-9)), 0.0, 1.0, 1e-14, eval_cap=200)
+
+
+class TestSeriesBudget:
+    """A series term counts as one evaluation against the evaluation cap."""
+
+    def test_a_sum_that_settles_within_the_cap_is_unchanged(self):
+        full = sum_tail(lambda k: math.exp(-k), 0, 1e-6, 100)
+        assert sum_tail(lambda k: math.exp(-k), 0, 1e-6, 100, eval_cap=full.evaluations) == full
+
+    def test_a_sum_that_needs_more_terms_than_the_cap_runs_out_of_budget(self):
+        seen = []
+        full = sum_tail(lambda k: math.exp(-k), 0, 1e-6, 100)
+        with pytest.raises(BudgetExceeded):
+            sum_tail(lambda k: seen.append(k) or math.exp(-k), 0, 1e-6, 100, eval_cap=full.evaluations - 1)
+        assert len(seen) == full.evaluations - 1  # no term past the cap is evaluated
+        with pytest.raises(BudgetExceeded):
+            sum_tail(lambda k: seen.append(k) or 1.0, 0, 1e-6, 100, eval_cap=0)
+        assert len(seen) == full.evaluations - 1
+
+    def test_the_term_cap_comes_before_the_budget(self):
+        r = sum_tail(lambda k: 1.0 / (k + 1), 0, 1e-6, 50, eval_cap=50)
+        assert not r.converged and r.evaluations == 50
 
 
 def _recording(f):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import itertools
+import json
 import math
 from contextlib import redirect_stdout
 
@@ -10,17 +11,12 @@ import pytest
 
 from skewflow import RunConfig, gallery, uniform
 from skewflow.cli import main
-from skewflow.core import (
-    log_adjoint_dual_norm,
-    log_operator_norm,
-    log_vector_norm,
-)
 from skewflow.errors import BudgetExceeded, MissingGrowthEnvelope, NonFinite
 from skewflow.gauges import make_gauge
 from skewflow.growth import estimate_growth
 from skewflow.nonuniform import test_datko_nonuniform as datko_nonuniform_check
 from skewflow.probes import discrete_pairs, ratio_data
-from skewflow.quadrature import IntegralResult, integrate_finite, integrate_tail
+from skewflow.quadrature import IntegralResult
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
 from skewflow.uniform import (
     Skipped,
@@ -35,7 +31,16 @@ from skewflow.uniform import (
     test_uniform_stability as uniform_stability_check,
 )
 
-from conftest import exponential_system, operator_norm, shift_cocycle
+from conftest import (
+    exponential_system,
+    integrate_finite,
+    integrate_tail,
+    log_adjoint_dual_norm,
+    log_operator_norm,
+    log_vector_norm,
+    operator_norm,
+    shift_cocycle,
+)
 
 IDENTITY = make_gauge("identity")
 
@@ -461,13 +466,103 @@ class TestIntegralMemo:
         assert dataclasses.replace(s).memo == {}
 
 
+def _classify_counts(monkeypatch, name, times):
+    """log_diag calls of each of ``times`` identical ``classify`` calls in this process."""
+    built = []
+    build = gallery.build
+    monkeypatch.setattr(gallery, "build", lambda *a, **k: built.append(_counted(build(*a, **k))) or built[-1][0])
+    for _ in range(times):
+        with redirect_stdout(io.StringIO()):
+            main(["classify", "--system", name])
+    return [count.calls for _, count in built]
+
+
+class TestTimeInvariance:
+    """A time-invariant system shares a tail or an adjoint integral between starting times."""
+
+    def test_only_the_three_families_and_linear_custom_systems_are_declared(self, systems):
+        declared = {name for name, s in systems.items() if s.time_invariant}
+        assert declared == {"shift-metric-demo", "diag3", "scalar_decay", "bounded_ratio"}
+        assert exponential_system(-1.0).time_invariant
+        assert not gallery.build_custom({"entries": [[{"kind": "linear", "coef": -1.0},
+                                                      {"kind": "sin", "coef": 0.1}]]}).time_invariant
+
+    @pytest.mark.parametrize("name", ["tsint", "spike"])
+    def test_undeclared_systems_evaluate_what_they_did(self, monkeypatch, name):
+        # the log_diag calls of one classify before time invariance was declared anywhere
+        assert _classify_counts(monkeypatch, name, 1) == [{"tsint": 39341, "spike": 191280}[name]]
+
+    @pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+    def test_two_identical_classify_calls_evaluate_alike(self, monkeypatch, name):
+        first, second = _classify_counts(monkeypatch, name, 2)
+        assert first == second > 0
+
+    @pytest.mark.parametrize("name", ["shift-metric-demo", "diag3"])
+    @pytest.mark.parametrize("form, time, tmax", [("vector", "continuous", 10.0), ("operator", "continuous", 10.0),
+                                                  ("vector", "discrete", 100.0)])
+    def test_a_tail_serves_the_later_t0_it_settled_in_time_for(self, systems, name, form, time, tmax):
+        # tmax 10: a tail from t0 = 0 settles near 9, in time for t0 = 1 but not for t0 = 2; a
+        # discrete sum has as many terms from every t0, so a settled one serves them all
+        cfg = RunConfig(tmax=tmax)
+        own = list(forward_tails(dataclasses.replace(systems[name], time_invariant=False), form, time, IDENTITY, cfg))
+        shared = list(forward_tails(dataclasses.replace(systems[name]), form, time, IDENTITY, cfg))
+        first = {(x, v): r for t0, x, v, r in own if t0 == 0.0}
+        served = 0
+        for (t0, x, v, mine), (*probe, r) in zip(own, shared):
+            assert probe == [t0, x, v]
+            r0 = first[(x, v)]
+            horizon = tmax if time == "continuous" else t0 + 1 + tmax
+            if r0.converged and r0.truncation_horizon <= horizon - t0:
+                assert r == r0
+                served += t0 > 0.0
+            else:
+                assert r == mine, (t0, x, v)  # its own tail, unsettled here: its own witness
+                assert not r.converged and r.truncation_horizon == horizon
+        assert served > 0 and (served < len(own) - len(first)) == (time == "continuous")
+
+    def test_an_unsettled_tail_is_not_shared(self, systems, config):
+        s = gallery.build("shift-metric-demo", {"rate": -1.0})  # every tail diverges
+        assert s.time_invariant
+        own = list(forward_tails(dataclasses.replace(s, time_invariant=False), "vector", "continuous", IDENTITY, config))
+        shared = list(forward_tails(s, "vector", "continuous", IDENTITY, config))
+        assert shared == own
+        assert all(not r.converged for *_, r in shared)
+        values = {x: {r.value for _, y, _, r in shared if y == x} for x in s.state_samples}
+        assert all(len(v) == len({t0 for t0, *_ in shared}) for v in values.values())  # one partial per t0
+
+    @pytest.mark.parametrize("time, operator", [("continuous", False), ("continuous", True), ("discrete", True)])
+    def test_an_adjoint_integral_serves_every_pair_of_its_length(self, systems, config, time, operator):
+        s = systems["diag3"]
+        own = list(uniform.backward_integrals(dataclasses.replace(s, time_invariant=False), time, IDENTITY,
+                                              config, 0.5, operator))
+        first = {(t - t0, x, w): value for t, t0, x, w, value in own if t0 == 0}
+        shared = list(uniform.backward_integrals(dataclasses.replace(s), time, IDENTITY, config, 0.5, operator))
+        for (t, t0, x, w, mine), (*probe, value) in zip(own, shared):
+            assert probe == [t, t0, x, w]
+            assert value == first[(t - t0, x, w)]
+            if time == "discrete":  # the terms of a sum over integers do not depend on where it starts
+                assert value == mine
+
+    def test_a_false_declaration_fails_axioms(self, monkeypatch):
+        build = gallery.build
+        monkeypatch.setattr(gallery, "build", lambda *a, **k: dataclasses.replace(build(*a, **k), time_invariant=True))
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["axioms", "--system", "tsint"])
+        laws = json.loads(buf.getvalue())["laws"]
+        assert code == 1 and not laws["ok"] and laws["time_invariance"] > 1e-6
+        monkeypatch.undo()
+        with redirect_stdout(io.StringIO()):
+            assert main(["axioms", "--system", "tsint"]) == 0
+
+
 class TestIntegrandsMatchTheWrappers:
     """Each kernel's per-probe integrand computes exactly what the core log-norm wrappers give."""
 
     @pytest.mark.parametrize("name", ["diag3", "shift-metric-demo"])
     @pytest.mark.parametrize("form", ["vector", "operator"])
     def test_forward_tails(self, systems, name, form):
-        s = dataclasses.replace(systems[name])  # an empty memo
+        s = dataclasses.replace(systems[name], time_invariant=False)  # an empty memo, and each tail from its own t0
         cfg = RunConfig(tmax=10.0)
         gauge = make_gauge("pow:2")
         for t0, x, v, result in itertools.islice(forward_tails(s, form, "continuous", gauge, cfg), 8):
@@ -543,6 +638,16 @@ class TestSkippedCause:
         assert causes == {"budget"}
 
 
+def test_a_discrete_sum_of_more_terms_than_the_evaluation_cap_is_budget_limited(systems):
+    s = dataclasses.replace(systems["scalar_decay"])
+    sums = list(uniform.backward_integrals(s, "discrete", IDENTITY, RunConfig(eval_cap=4), operator=True))
+    assert {t - t0 + 1 > 4 for t, t0, *_ in sums} == {True, False}
+    for t, t0, x, _, value in sums:
+        assert (value == Skipped("budget")) == (t - t0 + 1 > 4), (t, t0)
+    tails = list(forward_tails(s, "vector", "discrete", IDENTITY, RunConfig(eval_cap=4)))
+    assert {r for *_, r in tails} == {Skipped("budget")}
+
+
 def test_memoized_batches_hold_1_2_4_keys():
     """A caller that stops at its k-th key has computed its keys in batches of 1, 2, 4, ..., fewer than 2k."""
     for k in range(1, 65):
@@ -552,7 +657,7 @@ def test_memoized_batches_hold_1_2_4_keys():
             batches.append(len(positions))
             return positions
 
-        for _ in itertools.islice(uniform._memoized({}, list(range(200)), compute), k):
+        for _ in itertools.islice(uniform._memoized({}, 200, list(range(200)).__getitem__, compute), k):
             pass
         assert sum(batches) < 2 * k, k
         assert batches == [2 ** i for i in range(len(batches))], k
