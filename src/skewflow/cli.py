@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 
 from . import gallery
 from .config import ConfigError, RunConfig, load_config_file, merge_config
-from .core import System, check_cocycle_law, check_semiflow_law, check_time_invariance
+from .core import System, check_cocycle_law, check_declarations, check_semiflow_law
 from .errors import TimeOrderViolation
 from .gauges import make_gauge
 from .growth import estimate_growth, verify_growth
@@ -156,9 +156,9 @@ def cmd_axioms(args) -> int:
             probes.append((t, s, t0, system.state_samples[0], system.vector_samples[0]))
     semi = check_semiflow_law(system, probes)
     coc = check_cocycle_law(system, probes)
-    # a declared time invariance is a law too: a false declaration would share integrals wrongly
-    shift = check_time_invariance(system, probes) if system.time_invariant else None
-    devs = [semi.max_composition_dev, semi.max_identity_dev, coc.max_composition_dev, coc.max_identity_dev, shift]
+    # a declaration is a law too: a false one would share integrals wrongly
+    shift, state = check_declarations(system, probes)
+    devs = [semi.max_composition_dev, semi.max_identity_dev, coc.max_composition_dev, coc.max_identity_dev, shift, state]
     ok = all(d is None or d <= tol for d in devs)
     doc = _base_doc("axioms", cfg)
     doc["system"] = system.name
@@ -166,6 +166,7 @@ def cmd_axioms(args) -> int:
         "semiflow": semi.as_dict(),
         "cocycle": coc.as_dict(),
         "time_invariance": shift,
+        "state_independence": state,
         "tolerance": tol,
         "ok": ok,
     }

@@ -156,9 +156,12 @@ class System:
     its diagonal entries' magnitudes.  ``time_invariant`` declares that
     ``log_diag(t, s, x)`` and ``semiflow(t, s, x)`` depend on t and s only
     through t - s; the integral criteria then share an integral between
-    starting times (see ``uniform.forward_tails``), and ``axioms`` checks the
-    declaration.  ``memo`` holds the integral results computed for this
-    system; a copy made with ``dataclasses.replace`` starts with an empty one.
+    starting times (see ``uniform.forward_tails``).  ``state_independent``
+    declares that ``log_diag(t, s, x)`` does not read x; the integrals, which
+    read the state only through it, are then shared between states.
+    ``axioms`` checks both declarations.  ``memo`` holds the integral results
+    computed for this system; a copy made with ``dataclasses.replace`` starts
+    with an empty one.
     """
 
     name: str
@@ -172,6 +175,7 @@ class System:
     ground_truth: str | None = None
     horizons: Horizons = Horizons()
     time_invariant: bool = False
+    state_independent: bool = False
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -342,7 +346,6 @@ def check_semiflow_law(system: System, probes) -> LawReport:
     """
     comp = 0.0
     ident = 0.0
-    count = 0
     for probe in probes:
         t, s, t0, x = probe[0], probe[1], probe[2], probe[3]
         check_time_pair(t, s)
@@ -352,8 +355,7 @@ def check_semiflow_law(system: System, probes) -> LawReport:
         rhs = system.semiflow(t, t0, x)
         comp = max(comp, state_distance(lhs, rhs))
         ident = max(ident, state_distance(system.semiflow(t, t, x), x))
-        count += 1
-    return LawReport(comp, ident, count)
+    return LawReport(comp, ident, len(probes))
 
 
 def check_cocycle_law(system: System, probes) -> LawReport:
@@ -364,7 +366,6 @@ def check_cocycle_law(system: System, probes) -> LawReport:
     """
     comp = 0.0
     ident = 0.0
-    count = 0
     for t, s, t0, x, v in probes:
         check_time_pair(t, s)
         check_time_pair(s, t0)
@@ -376,20 +377,25 @@ def check_cocycle_law(system: System, probes) -> LawReport:
         comp = max(comp, vec_norm(lhs - rhs, system.norm_choice) / denom)
         same = apply_cocycle(system, t, t, x, v)
         ident = max(ident, vec_norm(same - np.asarray(v, dtype=float), system.norm_choice))
-        count += 1
-    return LawReport(comp, ident, count)
+    return LawReport(comp, ident, len(probes))
 
 
-def check_time_invariance(system: System, probes) -> float:
-    """Largest deviation of log_diag and of the semiflow at (t + t0, s + t0, x) from their values at (t, s, x).
+def check_declarations(system: System, probes) -> tuple:
+    """The largest deviations from the system's declarations over the probes: (time invariance, state independence).
 
-    Probes are (t, s, t0, x, v) tuples; log_diag deviates by the largest
-    difference of its logs.  A time-invariant system deviates by rounding.
+    Probes are (t, s, t0, x, v) tuples.  Time invariance compares log_diag and
+    the semiflow at (t + t0, s + t0, x) with their values at (t, s, x); state
+    independence compares log_diag at (t, s, x) with its value at the first
+    state sample.  log_diag deviates by the largest difference of its logs, a
+    nan by inf.  A true declaration deviates by rounding; an undeclared one is None.
     """
-    dev = 0.0
-    for t, s, t0, x, _ in probes:
-        a, b = (np.asarray(system.cocycle.log_diag(t + d, s + d, x), dtype=float) for d in (t0, 0.0))
-        gap = np.nan_to_num(np.where(a == b, 0.0, np.abs(a - b)), nan=np.inf, posinf=np.inf)  # nan: no match
-        dev = max(dev, float(gap.max()),
-                  state_distance(system.semiflow(t + t0, s + t0, x), system.semiflow(t, s, x)))
-    return dev
+    def gap(p, q):  # between log_diag at the points p and q; a nan matches nothing
+        a, b = (np.asarray(system.cocycle.log_diag(*r), dtype=float) for r in (p, q))
+        return float(np.nan_to_num(np.where(a == b, 0.0, np.abs(a - b)), nan=np.inf, posinf=np.inf).max())
+
+    shift = max((max(gap((t + t0, s + t0, x), (t, s, x)),
+                     state_distance(system.semiflow(t + t0, s + t0, x), system.semiflow(t, s, x)))
+                 for t, s, t0, x, _ in probes), default=0.0) if system.time_invariant else None
+    state = max((gap((t, s, x), (t, s, system.state_samples[0])) for t, s, _, x, _ in probes),
+                default=0.0) if system.state_independent else None
+    return shift, state

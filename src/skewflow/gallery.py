@@ -306,8 +306,8 @@ def _as_float(params, key):
         raise InvalidParams(f"parameter {key} must be a number, got {v!r}")
 
 
-def _system(name, cocycle, states, ground_truth, horizons=Horizons(), dimension=1, norm="L1", time_invariant=False):
-    """A system moved by the translation semiflow, probed with the standard vectors."""
+def _system(name, cocycle, states, ground_truth, horizons=Horizons(), dimension=1, norm="L1", **declared):
+    """A system moved by the translation semiflow, probed with the standard vectors; ``declared`` as on System."""
     vectors, duals = _probe_vectors(dimension, norm)
     return System(
         name=name,
@@ -320,7 +320,7 @@ def _system(name, cocycle, states, ground_truth, horizons=Horizons(), dimension=
         dual_samples=duals,
         ground_truth=ground_truth,
         horizons=horizons,
-        time_invariant=time_invariant,
+        **declared,
     )
 
 
@@ -386,6 +386,7 @@ def _build_tsint(params):
         # starting times stay below the first big oscillation transient so
         # that per-bin constants remain under the nonuniform cap
         Horizons(s_max=4.0, lag_max=12.0),
+        state_independent=True,
     )
 
 
@@ -404,6 +405,7 @@ def _build_spike(params):
         _real_states((0.0, 1.0, 2.5)),
         "ES-not-UES",
         Horizons(lag_max=12.0, extra_pairs=tuple(pairs)),
+        state_independent=True,
     )
 
 
@@ -471,4 +473,5 @@ def build_custom(spec: dict) -> System:
         dimension=len(entries),
         norm=spec.get("norm", "L1"),
         time_invariant=all(term["kind"] == "linear" for terms in entries for term in terms),
+        state_independent=True,
     )

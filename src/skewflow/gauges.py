@@ -75,20 +75,22 @@ class GaugeViolation:
 
 
 def validate_gauge(g: Gauge, grid) -> GaugeViolation | None:
-    """Scan a sorted grid (starting at 0) for gauge-class violations."""
-    grid = list(grid)
-    v0 = g(grid[0])
-    if grid[0] == 0.0 and v0 != 0.0:
-        return GaugeViolation("zero-at-zero", 0.0, v0)
-    prev_t, prev_v = grid[0], v0
-    for t in grid[1:]:
-        v = g(t)
-        if t > 0.0 and not v > 0.0:
-            return GaugeViolation("positivity", t, v)
-        if v < prev_v:
-            return GaugeViolation("monotonicity", t, v, prev_t, prev_v)
-        prev_t, prev_v = t, v
-    return None
+    """The first gauge-class violation on a sorted grid starting at 0, in grid order; positivity before monotonicity at one t."""
+    t = np.asarray(grid, dtype=float)
+    try:
+        v = g.array(t)
+    except OverflowError:  # a power beyond float range is still a gauge value: inf, as g gives on numpy floats
+        v = np.array([g(x) for x in t])
+    if t[0] == 0.0 and v[0] != 0.0:
+        return GaugeViolation("zero-at-zero", 0.0, float(v[0]))
+    positivity = (t[1:] > 0.0) & ~(v[1:] > 0.0)
+    bad = np.flatnonzero(positivity | (v[1:] < v[:-1]))
+    if not bad.size:
+        return None
+    i = int(bad[0])  # the first t[i + 1] that breaks a clause, against t[i] for monotonicity
+    if positivity[i]:
+        return GaugeViolation("positivity", float(t[i + 1]), float(v[i + 1]))
+    return GaugeViolation("monotonicity", float(t[i + 1]), float(v[i + 1]), float(t[i]), float(v[i]))
 
 
 def _load_table(path: str) -> tuple:

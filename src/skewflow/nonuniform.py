@@ -57,14 +57,6 @@ class NonuniformDecayFit:
     residual: float
     probes_used: int
 
-    def as_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "N_of_s": [[s, n] for s, n in sorted(self.N_of_s.items())],
-            "residual": self.residual,
-            "probes_used": self.probes_used,
-        }
-
 
 def fit_nonuniform_decay(
     system: System,
@@ -109,12 +101,8 @@ def test_decaying_majorant(
         data = ratio_data(system)
     lags = Groups(data.lag).keys[0].tolist()
     if len(lags) < 2 or max(lags) < min_lag:
-        return CriterionReport(
-            "majorant",
-            INCONCLUSIVE,
-            {"reason": "window grid too short", "max_lag": max(lags) if lags else 0.0},
-            config_echo=echo or {},
-        )
+        return CriterionReport("majorant", INCONCLUSIVE, {"reason": "window grid too short",
+                               "max_lag": max(lags) if lags else 0.0}, config_echo=echo or {})
     # each s-bin's curve: the largest ratio per lag, normalized by its value at the bin's least lag
     cells = Groups(data.s, data.lag)
     best = cells.argmax(data.log_ratio)
@@ -228,13 +216,8 @@ _COUNTED = ("fit-exp-nu", "majorant", "datko-v-nu", "datko-d-nu", "barbashin-nu"
 
 def _fit_nu_report(fit: NonuniformDecayFit | None, cap: float, echo: dict) -> CriterionReport:
     if fit is not None:
-        table = sorted(fit.N_of_s.items())
-        ev = {
-            "nu": fit.nu,
-            "max_N_of_s": max(fit.N_of_s.values()),
-            "N_of_s": [[s, n] for s, n in table],
-            "n_cap": cap,
-        }
+        ev = {"nu": fit.nu, "max_N_of_s": max(fit.N_of_s.values()),
+              "N_of_s": [[s, n] for s, n in sorted(fit.N_of_s.items())], "n_cap": cap}
         return CriterionReport("fit-exp-nu", PASS, ev, config_echo=echo)
     return CriterionReport(
         "fit-exp-nu",
@@ -276,10 +259,9 @@ def run_nonuniform_panel(
     for (form, time), cid in _DATKO_IDS.items():
         if want(cid + "-nu"):
             reports.append(test_datko_nonuniform(system, form, time, gauge, alpha, config))
-    if want("barbashin-nu"):
-        reports.append(test_barbashin_nonuniform(system, "continuous", gauge, alpha, config))
-    if want("barbashin-d-nu"):
-        reports.append(test_barbashin_nonuniform(system, "discrete", gauge, alpha, config))
+    for time, cid in (("continuous", "barbashin-nu"), ("discrete", "barbashin-d-nu")):
+        if want(cid):
+            reports.append(test_barbashin_nonuniform(system, time, gauge, alpha, config))
 
     all_reports = list(uniform.reports) + reports
     discrepancies = list(uniform.discrepancies)

@@ -141,12 +141,8 @@ def test_divergent_minorant(
     by_lag = Groups(data.lag)
     lags = by_lag.keys[0].tolist()
     if len(lags) < 2 or max(lags) < min_lag:
-        return CriterionReport(
-            "minorant",
-            INCONCLUSIVE,
-            {"reason": "window grid too short", "max_lag": max(lags) if lags else 0.0},
-            config_echo=echo or {},
-        )
+        return CriterionReport("minorant", INCONCLUSIVE, {"reason": "window grid too short",
+                               "max_lag": max(lags) if lags else 0.0}, config_echo=echo or {})
     best = by_lag.argmax(data.log_ratio)  # max ratio = min inverse ratio, per lag
     log_fhat = [-r for r in data.log_ratio[best].tolist()]
     # suffix minimum: the largest nondecreasing function below f_hat
@@ -345,7 +341,9 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
     time-invariant system the integrand is one function of s - t0 (t0 runs
     over integers), so the tail from the first t0 of (x, norm class) serves
     each later t0 whose horizon it settled within; an unsettled or Skipped
-    tail is computed per t0, so its witness stays its own.
+    tail is computed per t0, so its witness stays its own.  On a
+    state-independent system one tail serves every x: the same points, the
+    same values.
     """
     cap = min(config.tmax, system.horizons.tail_cap)
     lead = system.vector_samples[0]
@@ -361,6 +359,7 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
 
     def key(p):
         t0, x, _ = probes[p]
+        x = None if system.state_independent else x
         start, r = memo.get((None, x, classes[p]), (t0, None))
         shared = system.time_invariant and (r is None or start == t0 or isinstance(r, IntegralResult) and (
             r.converged and r.truncation_horizon - start <= horizon(t0) - t0))
@@ -409,13 +408,15 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
     (t, t0, x) and vstar None.  Each distinct integral is computed once per
     system, and the missing ones are computed together (see ``_memoized``);
     on a time-invariant system the integrand depends on t and t0 only through
-    t - t0, so one integral serves every (t, t0) of the same length.  A
-    discrete sum of more terms than the evaluation cap is Skipped("budget").
+    t - t0, so one integral serves every (t, t0) of the same length, and on a
+    state-independent one every x.  A discrete sum of more terms than the
+    evaluation cap is Skipped("budget").
     """
     pairs = backward_pairs(system) if time == "continuous" else discrete_pairs(system)
     probes = [(t, t0, x, w) for t, t0 in pairs for x in system.state_samples
               for w in ((None,) if operator else system.dual_samples)]
-    keys = [((t - t0,) if system.time_invariant else (t, t0)) + (x, _norm_class(w)) for t, t0, x, w in probes]
+    keys = [((t - t0,) if system.time_invariant else (t, t0)) + (None if system.state_independent else x, _norm_class(w))
+            for t, t0, x, w in probes]
     memo = system.memo.setdefault(
         ("adjoint", time, gauge, alpha, config.tol, config.eval_cap), {})
 
@@ -622,16 +623,8 @@ def _fit_report(fit: DecayFit | None, data: RatioData, n_cap: float, echo: dict)
     if fit is not None:
         return CriterionReport("fit-exp", PASS, dict(fit.as_dict(), n_cap=n_cap), config_echo=echo)
     worst = data.log_ratio[first_max(data.log_ratio)].item()
-    return CriterionReport(
-        "fit-exp",
-        INCONCLUSIVE,
-        {
-            "reason": "no ladder rate admits a constant under the cap",
-            "max_ratio": math.exp(min(worst, 700.0)),
-            "n_cap": n_cap,
-        },
-        config_echo=echo,
-    )
+    return CriterionReport("fit-exp", INCONCLUSIVE, {"reason": "no ladder rate admits a constant under the cap",
+                           "max_ratio": math.exp(min(worst, 700.0)), "n_cap": n_cap}, config_echo=echo)
 
 
 def run_uniform_panel(system: System, config, data: RatioData | None = None, selected=None) -> UniformPanel:
@@ -670,9 +663,7 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
             try:
                 reports.append(test_half_decay(system, env, mode, config.delta_max, echo))
             except MissingGrowthEnvelope as exc:
-                reports.append(
-                    CriterionReport(cid, INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo)
-                )
+                reports.append(CriterionReport(cid, INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo))
     for (form, time), cid in _DATKO_IDS.items():
         if want(cid):
             reports.append(test_datko(system, form, time, gauge, config))
@@ -690,9 +681,7 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
         try:
             reports.append(test_discrete_decay(system, env, int_data, config.ncap, echo))
         except MissingGrowthEnvelope as exc:
-            reports.append(
-                CriterionReport("decay-d", INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo)
-            )
+            reports.append(CriterionReport("decay-d", INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo))
 
     by_id = {r.criterion_id: r for r in reports}
     discrepancies = []

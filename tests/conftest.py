@@ -1,10 +1,12 @@
 """Shared fixtures, and the systems and maps that only the tests build."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from skewflow import RunConfig, gallery
 from skewflow.core import System, cocycle_matrix, combine_logs, log_abs, log_norms
@@ -13,6 +15,13 @@ from skewflow.nonuniform import run_nonuniform_panel
 from skewflow.probes import ratio_data
 from skewflow.quadrature import EVAL_CAP, IntegralResult, series, simpson, tails
 from skewflow.uniform import run_uniform_panel
+
+
+# under CI the examples are derived from each test alone, so a failure there reproduces
+# anywhere with CI=1; elsewhere they are random, as hypothesis draws them by default
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def log_norm_path(system: System, w=None, dual: bool = False):

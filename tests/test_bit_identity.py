@@ -7,6 +7,7 @@ Simpson it replaced, kept here as the reference.
 
 import dataclasses
 import io
+import json
 import math
 import re
 import struct
@@ -421,3 +422,40 @@ def test_a_cocycle_with_only_log_diag_gives_the_same_report(monkeypatch, argv):
 
     monkeypatch.setattr(gallery, "build", wrapped)
     assert run(argv) == expected
+
+
+# ---------------------------------------------------------------------------
+# a state-independent system shares its integrals between states without moving a byte
+
+def _undeclared(build):
+    return lambda *args, **kwargs: dataclasses.replace(build(*args, **kwargs), state_independent=False)
+
+
+def run_undeclared(argv):
+    """The report of ``argv`` with every built system's state-independence declaration withdrawn."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gallery, "build", _undeclared(gallery.build))
+        mp.setattr(gallery, "build_custom", _undeclared(gallery.build_custom))
+        return run(argv)
+
+
+@pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+def test_the_declaration_leaves_every_gallery_report_as_it_was(name):
+    argv = ("classify", "--system", name)
+    assert run(argv) == run_undeclared(argv)
+
+
+_SMALL_TERM = st.fixed_dictionaries({
+    "kind": st.sampled_from(gallery.DeclarativeCocycle.KINDS),
+    "coef": st.one_of(st.floats(min_value=-2.0, max_value=2.0), st.integers(-2, 1)),
+})
+
+
+@given(entries=st.lists(st.lists(_SMALL_TERM, min_size=1, max_size=3), min_size=1, max_size=2),
+       norm=st.sampled_from(("L1", "L2", "Linf")))
+@settings(max_examples=8, deadline=None)
+def test_the_declaration_leaves_custom_reports_as_they_were(tmp_path_factory, entries, norm):
+    path = tmp_path_factory.mktemp("spec") / "custom.json"  # a shorter tail cap keeps an example near a second
+    path.write_text(json.dumps({"custom_system": {"entries": entries, "norm": norm, "tail_cap": 30.0}}))
+    argv = ("classify", "--config", str(path))
+    assert run(argv) == run_undeclared(argv)

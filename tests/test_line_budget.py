@@ -3,7 +3,7 @@
 from pathlib import Path
 
 # every line of src/skewflow/*.py, empty ones included (``wc -l``), when this guard was set
-LINE_BUDGET = 3419
+LINE_BUDGET = 3402
 
 
 def test_the_source_stays_within_its_line_budget():

@@ -466,11 +466,12 @@ class TestIntegralMemo:
         assert dataclasses.replace(s).memo == {}
 
 
-def _classify_counts(monkeypatch, name, times):
-    """log_diag calls of each of ``times`` identical ``classify`` calls in this process."""
+def _classify_counts(monkeypatch, name, times, **fields):
+    """log_diag calls of each of ``times`` identical ``classify`` calls in this process, with ``fields`` replaced."""
     built = []
     build = gallery.build
-    monkeypatch.setattr(gallery, "build", lambda *a, **k: built.append(_counted(build(*a, **k))) or built[-1][0])
+    monkeypatch.setattr(gallery, "build",
+                        lambda *a, **k: built.append(_counted(build(*a, **k), **fields)) or built[-1][0])
     for _ in range(times):
         with redirect_stdout(io.StringIO()):
             main(["classify", "--system", name])
@@ -489,8 +490,12 @@ class TestTimeInvariance:
 
     @pytest.mark.parametrize("name", ["tsint", "spike"])
     def test_undeclared_systems_evaluate_what_they_did(self, monkeypatch, name):
-        # the log_diag calls of one classify before time invariance was declared anywhere
-        assert _classify_counts(monkeypatch, name, 1) == [{"tsint": 39341, "spike": 191280}[name]]
+        # the log_diag calls of one classify before time invariance was declared anywhere,
+        # and of one that shares each integral between states
+        assert _classify_counts(monkeypatch, name, 1, state_independent=False) == [
+            {"tsint": 39341, "spike": 191280}[name]]
+        monkeypatch.undo()
+        assert _classify_counts(monkeypatch, name, 1) == [{"tsint": 15443, "spike": 66500}[name]]
 
     @pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
     def test_two_identical_classify_calls_evaluate_alike(self, monkeypatch, name):
@@ -554,6 +559,72 @@ class TestTimeInvariance:
         monkeypatch.undo()
         with redirect_stdout(io.StringIO()):
             assert main(["axioms", "--system", "tsint"]) == 0
+
+
+def _axioms(name):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["axioms", "--system", name])
+    return code, json.loads(buf.getvalue())["laws"]
+
+
+class TestStateIndependence:
+    """A state-independent system shares a tail or an adjoint integral between states, bit for bit."""
+
+    def test_exactly_tsint_spike_and_custom_systems_are_declared(self, systems):
+        assert {name for name, s in systems.items() if s.state_independent} == {"tsint", "spike"}
+        assert exponential_system(-1.0).state_independent
+        assert gallery.build_custom({"entries": [[{"kind": "tsin", "coef": 0.5}], [{"kind": "sin", "coef": 1.0}]],
+                                     "scales": [2.0, 1.0]}).state_independent
+
+    @pytest.mark.parametrize("name", ["tsint", "spike"])
+    @pytest.mark.parametrize("form, time", [("vector", "continuous"), ("operator", "continuous"),
+                                            ("vector", "discrete")])
+    def test_a_shared_tail_is_the_one_it_replaces(self, systems, config, name, form, time):
+        own = list(forward_tails(dataclasses.replace(systems[name], state_independent=False), form, time,
+                                 IDENTITY, config, 0.25, first=0))
+        shared = list(forward_tails(dataclasses.replace(systems[name]), form, time, IDENTITY, config, 0.25, first=0))
+        assert shared == own and len({x for _, x, _, _ in shared}) == 3  # each probe keeps its own x
+
+    @pytest.mark.parametrize("name", ["tsint", "spike"])
+    @pytest.mark.parametrize("time, operator", [("continuous", False), ("continuous", True), ("discrete", True)])
+    def test_a_shared_adjoint_integral_is_the_one_it_replaces(self, systems, config, name, time, operator):
+        own = list(uniform.backward_integrals(dataclasses.replace(systems[name], state_independent=False), time,
+                                              IDENTITY, config, 0.5, operator))
+        shared = list(uniform.backward_integrals(dataclasses.replace(systems[name]), time, IDENTITY, config, 0.5,
+                                                 operator))
+        assert shared == own and len({x for _, _, x, _, _ in shared}) == 3
+
+    @pytest.mark.parametrize("rate, tmax", [(-1.0, 100.0), (-1.0, 10.0), (0.5, 100.0)])
+    def test_a_time_invariant_custom_system_shares_both_ways(self, rate, tmax):
+        # tmax 10: a tail from t0 = 0 settles in time for t0 = 1 only; rate 0.5: no tail settles,
+        # so each t0 keeps its own, whichever state first needs it
+        s, cfg = exponential_system(rate), RunConfig(tmax=tmax)
+        assert s.time_invariant and s.state_independent
+        own = list(forward_tails(dataclasses.replace(s, state_independent=False), "vector", "continuous",
+                                 IDENTITY, cfg))
+        shared, count = _counted(s)
+        assert list(forward_tails(shared, "vector", "continuous", IDENTITY, cfg)) == own
+        alone, alone_count = _counted(s, state_samples=s.state_samples[:1])
+        list(forward_tails(alone, "vector", "continuous", IDENTITY, cfg))
+        assert count.calls == alone_count.calls > 0  # three states cost what one does
+
+    def test_a_false_declaration_fails_axioms(self, monkeypatch):
+        build = gallery.build
+        monkeypatch.setattr(gallery, "build",
+                            lambda *a, **k: dataclasses.replace(build(*a, **k), state_independent=True))
+        code, laws = _axioms("bounded_ratio")  # its log_diag reads the state
+        assert code == 1 and not laws["ok"] and laws["state_independence"] > 1e-6
+        assert laws["time_invariance"] <= laws["tolerance"]
+        monkeypatch.undo()
+        assert _axioms("bounded_ratio") == (0, dict(laws, ok=True, state_independence=None))
+
+    @pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+    def test_axioms_passes_on_every_gallery_system(self, name):
+        code, laws = _axioms(name)
+        assert code == 0 and laws["ok"]
+        assert (laws["state_independence"] is not None) == (name in ("tsint", "spike"))
+        assert laws["state_independence"] in (None, 0.0)
 
 
 class TestIntegrandsMatchTheWrappers:
@@ -722,8 +793,9 @@ class TestOverflowInABatch:
     def systems():
         base = exponential_system(-1.0, lag_max=16.0)
         states = tuple(dataclasses.replace(base.state_samples[0], value=v) for v in (0.0, 1e6, 2e6))
-        return (dataclasses.replace(base, cocycle=_Marked(), state_samples=states),
-                dataclasses.replace(base, cocycle=_Marked(), state_samples=states[:1]))
+        # _Marked reads its state, so these systems are not declared state-independent
+        return (dataclasses.replace(base, cocycle=_Marked(), state_samples=states, state_independent=False),
+                dataclasses.replace(base, cocycle=_Marked(), state_samples=states[:1], state_independent=False))
 
     @pytest.mark.parametrize("time", ["continuous", "discrete"])
     def test_forward_tails(self, time):
