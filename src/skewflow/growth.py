@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import System
 from .errors import DegenerateProbe
-from .probes import Groups, RatioData, ratio_data
+from .probes import Groups, RatioData
 
 OMEGA_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -64,11 +64,9 @@ def estimate_growth(
     system: System,
     setting: str = "uniform",
     grid_h: float = 10.0,
-    data: RatioData | None = None,
+    *, data: RatioData,
     omega_const: bool = False,
 ) -> GrowthEnvelope:
-    if data is None:
-        data = ratio_data(system, lag_max=grid_h)
     keep = data.lag <= grid_h
     lr, lag, s = data.log_ratio[keep], data.lag[keep], data.s[keep]
     if not lr.size:
@@ -92,14 +90,12 @@ def estimate_growth(
     )
 
 
-def verify_growth(system: System, env: GrowthEnvelope, data: RatioData | None = None):
+def verify_growth(system: System, env: GrowthEnvelope, data: RatioData):
     """Check the envelope inequality on probes (relative slack 1e-9).
 
     Returns None when every probe satisfies it, otherwise the first
     violating probe.
     """
-    if data is None:
-        data = ratio_data(system, lag_max=10.0)
     if env.kind == "uniform":
         bound = math.log(env.M) + env.omega * data.lag
     else:

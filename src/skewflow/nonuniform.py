@@ -42,6 +42,7 @@ from .uniform import (
     forward_tails,
     run_uniform_panel,
     scan,
+    settled_within,
 )
 
 N_CAP_NONUNIFORM = 1e6
@@ -60,7 +61,7 @@ class NonuniformDecayFit:
 
 def fit_nonuniform_decay(
     system: System,
-    data: RatioData | None = None,
+    data: RatioData,
     nu_ladder=NU_LADDER,
     cap: float = N_CAP_NONUNIFORM,
 ) -> NonuniformDecayFit | None:
@@ -69,8 +70,6 @@ def fit_nonuniform_decay(
     N(s) is the per-bin maximum of e^{nu (t-s)} ||Phi(t,t0,x)v|| / ||Phi(s,t0,x)v||;
     all bins must stay under the nonuniform cap.
     """
-    if data is None:
-        data = ratio_data(system)
     if not len(data.probes):
         raise DegenerateProbe("no usable decay probes")
     bins = Groups(data.s)
@@ -86,7 +85,7 @@ def fit_nonuniform_decay(
 
 def test_decaying_majorant(
     system: System,
-    data: RatioData | None = None,
+    data: RatioData,
     factor: float = MAJORANT_FACTOR,
     min_lag: float = MAJORANT_MIN_LAG,
     echo: dict | None = None,
@@ -97,8 +96,6 @@ def test_decaying_majorant(
     enveloped across bins; the test passes when the envelope decays by the
     required factor over the window.
     """
-    if data is None:
-        data = ratio_data(system)
     lags = Groups(data.lag).keys[0].tolist()
     if len(lags) < 2 or max(lags) < min_lag:
         return CriterionReport("majorant", INCONCLUSIVE, {"reason": "window grid too short",
@@ -138,7 +135,7 @@ def test_decaying_majorant(
 
 
 def test_datko_nonuniform(
-    system: System, form: str, time: str, gauge: Gauge, alpha: float, config
+    system: System, form: str, time: str, gauge: Gauge, alpha: float, config, expect_pass: bool = False
 ) -> CriterionReport:
     """Shifted-weight forward tail test.
 
@@ -176,12 +173,13 @@ def test_datko_nonuniform(
             return INCONCLUSIVE, dict(ev, band=s.skipped.band), None
         return PASS, ev, None
 
-    return scan(_DATKO_IDS[(form, time)] + "-nu", forward_tails(system, form, time, gauge, config, alpha, first=0),
-                echo, t0_at=0, quantity=ratio, early_fail=divergence_witness, evidence=evidence, end=end)
+    tails = forward_tails(system, form, time, gauge, config, alpha, first=0, expect_pass=expect_pass)
+    return scan(_DATKO_IDS[(form, time)] + "-nu", settled_within(system, config, tails), echo,
+                t0_at=0, quantity=ratio, early_fail=divergence_witness, evidence=evidence, end=end)
 
 
 def test_barbashin_nonuniform(
-    system: System, time: str, gauge: Gauge, alpha_or_gamma: float, config
+    system: System, time: str, gauge: Gauge, alpha_or_gamma: float, config, expect_pass: bool = False
 ) -> CriterionReport:
     """Shifted-weight backward adjoint test with per-t0 constants."""
     if not alpha_or_gamma > 0.0:
@@ -200,7 +198,7 @@ def test_barbashin_nonuniform(
         return PASS, ev, None
 
     return scan("barbashin-nu" if time == "continuous" else "barbashin-d-nu",
-                backward_integrals(system, time, gauge, config, alpha_or_gamma),
+                backward_integrals(system, time, gauge, config, alpha_or_gamma, expect_pass=expect_pass),
                 {"gauge": gauge.describe(), "alpha": alpha_or_gamma, "n_cap": n_cap},
                 t0_at=1, quantity=lambda p: p[4], early_fail=lambda p: adjoint_witness(*p) if p[4] > n_cap else None,
                 evidence=evidence, end=end)
@@ -258,10 +256,10 @@ def run_nonuniform_panel(
         reports.append(test_decaying_majorant(system, data, echo=echo))
     for (form, time), cid in _DATKO_IDS.items():
         if want(cid + "-nu"):
-            reports.append(test_datko_nonuniform(system, form, time, gauge, alpha, config))
+            reports.append(test_datko_nonuniform(system, form, time, gauge, alpha, config, nfit is not None))
     for time, cid in (("continuous", "barbashin-nu"), ("discrete", "barbashin-d-nu")):
         if want(cid):
-            reports.append(test_barbashin_nonuniform(system, time, gauge, alpha, config))
+            reports.append(test_barbashin_nonuniform(system, time, gauge, alpha, config, nfit is not None))
 
     all_reports = list(uniform.reports) + reports
     discrepancies = list(uniform.discrepancies)

@@ -3,7 +3,7 @@
 Every "for all" quantifier is discharged over finite probe grids with the
 cap N_cap (default 1e3) and an explicit inconclusive band, so pass/fail is
 reproducible and every fail carries a falsifiable witness.  Forward tail
-integrals that hit the horizon cap without settling are treated as
+integrals that hit the system's tail cap without settling are treated as
 divergence witnesses.
 """
 
@@ -76,7 +76,7 @@ class DecayFit:
 
 def fit_exponential_decay(
     system: System,
-    data: RatioData | None = None,
+    data: RatioData,
     n_cap: float = 1e3,
     ladder=NU_LADDER,
 ) -> DecayFit | None:
@@ -84,8 +84,6 @@ def fit_exponential_decay(
     with N <= n_cap on the probes.  Returns None when even the smallest rate
     would need a constant above the cap.
     """
-    if data is None:
-        data = ratio_data(system)
     if not len(data.probes):
         raise DegenerateProbe("no usable decay probes")
     log_cap = math.log(n_cap)
@@ -103,11 +101,9 @@ def fit_exponential_decay(
 
 
 def test_uniform_stability(
-    system: System, data: RatioData | None = None, n_cap: float = 1e3, echo: dict | None = None
+    system: System, data: RatioData, n_cap: float = 1e3, echo: dict | None = None
 ) -> CriterionReport:
     """Bounded trajectory-norm ratios: ||Phi(t,t0,x)v|| <= N ||Phi(s,t0,x)v||."""
-    if data is None:
-        data = ratio_data(system)
     worst = data.probes[first_max(data.log_ratio)]
     n = max(1.0, math.exp(min(worst.log_ratio, 700.0)))
     evidence = {"N": n, "n_cap": n_cap, "probes": len(data.probes)}
@@ -124,7 +120,7 @@ def test_uniform_stability(
 
 def test_divergent_minorant(
     system: System,
-    data: RatioData | None = None,
+    data: RatioData,
     factor: float = MINORANT_FACTOR,
     min_lag: float = MINORANT_MIN_LAG,
     echo: dict | None = None,
@@ -136,8 +132,6 @@ def test_divergent_minorant(
     test passes when the cleaned curve grows by the divergence factor over
     the window.
     """
-    if data is None:
-        data = ratio_data(system)
     by_lag = Groups(data.lag)
     lags = by_lag.keys[0].tolist()
     if len(lags) < 2 or max(lags) < min_lag:
@@ -298,15 +292,17 @@ def _norm_class(w):
     return None if cls == (1.0,) else cls
 
 
-def _memoized(memo: dict, n: int, key, compute):
+def _memoized(memo: dict, n: int, key, compute, expect_pass: bool = False):
     """(position, memo[key(position)]) for positions 0..n-1 in order, computing the missing ones in batches.
 
     ``compute(positions)`` returns the results for those keys.  A batch
-    holds the next 1, 2, 4, ... distinct missing keys, so a caller that
-    stops at its k-th probe has computed at most 2k - 1.  ``key`` may read
-    the memo: a position's key is taken again when it is reached.
+    holds every distinct missing key when the caller ``expect_pass``es
+    (reads every position), so a wrong guess costs what a pass would;
+    else the next 1, 2, 4, ..., so a caller that stops at its k-th probe
+    has computed at most 2k - 1.  ``key`` may read the memo: a key that
+    changed when its position is reached is computed in the next batch.
     """
-    sizes = (2 ** i for i in itertools.count())
+    sizes = itertools.repeat(n) if expect_pass else (2 ** i for i in itertools.count())
     for i in range(n):
         if key(i) not in memo:
             size, batch = next(sizes), {}
@@ -328,7 +324,7 @@ def _logs(vectors):
 
 
 def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
-                  alpha: float = 0.0, first: int = 1):
+                  alpha: float = 0.0, first: int = 1, expect_pass: bool = False):
     """Forward tails of R(e^{alpha (s - t0)} ||Phi(s,t0,x)v||), one per tail probe.
 
     Yields (t0, x, v, result) in probe order, where result is the
@@ -392,12 +388,13 @@ def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
         )
 
     # each result is stored with the t0 it ran from
-    for i, (_, result) in _memoized(memo, len(probes), key, lambda ps: zip([probes[p][0] for p in ps], compute(ps))):
+    for i, (_, result) in _memoized(memo, len(probes), key, lambda ps: zip([probes[p][0] for p in ps], compute(ps)),
+                                    expect_pass):
         yield (*probes[i], result)
 
 
 def backward_integrals(system: System, time: str, gauge: Gauge, config,
-                       alpha: float = 0.0, operator: bool = False):
+                       alpha: float = 0.0, operator: bool = False, expect_pass: bool = False):
     """Integrals of R(e^{alpha (t - s)} ||Phi(t,s,phi(s,t0,x))* v*||) over s in [t0, t].
 
     Yields (t, t0, x, vstar, value) in probe order, where value is Skipped
@@ -446,9 +443,16 @@ def backward_integrals(system: System, time: str, gauge: Gauge, config,
                 functools.reduce(float.__add__, y[j - len(r):j].tolist(), 0.0)
                 for r, j in zip(spans, itertools.accumulate(map(len, spans)))]
 
-    for i, value in _memoized(memo, len(keys), keys.__getitem__, compute):
+    for i, value in _memoized(memo, len(keys), keys.__getitem__, compute, expect_pass):
         t, t0, x, w = probes[i]
         yield t, t0, x, w, value
+
+
+def settled_within(system: System, config, tails):
+    """forward_tails' stream, an unsettled tail Skipped("horizon") when ``tmax`` cut the system's tail cap short."""
+    short = config.tmax < system.horizons.tail_cap
+    for *probe, r in tails:
+        yield (*probe, Skipped("horizon") if short and isinstance(r, IntegralResult) and not r.converged else r)
 
 
 def divergence_witness(probe) -> dict | None:
@@ -507,14 +511,14 @@ def scan(cid, probes, echo, *, t0_at, quantity, early_fail, evidence, end) -> Cr
     return CriterionReport(cid, verdict, ev, witness=w, config_echo=echo)
 
 
-def test_datko(system: System, form: str, time: str, gauge: Gauge, config) -> CriterionReport:
+def test_datko(system: System, form: str, time: str, gauge: Gauge, config, expect_pass: bool = False) -> CriterionReport:
     """Forward tail test: gauged trajectory norms must have bounded tails.
 
     vector: integral (or series) of R(||Phi(s,t0,x)v||) from t0, compared to
     N_cap * R(||v||).  operator: same with the induced norm, compared to
-    N_cap * R(1).  A tail that fails to settle before the horizon cap is a
-    divergence witness; a settled tail lands in pass / inconclusive / fail
-    bands at N_cap and 10*N_cap.
+    N_cap * R(1).  A tail that fails to settle before the system's tail cap
+    is a divergence witness (see ``settled_within``); a settled tail lands
+    in pass / inconclusive / fail bands at N_cap and 10*N_cap.
     """
     n_cap = config.ncap
     cap = min(config.tmax, system.horizons.tail_cap)
@@ -537,14 +541,15 @@ def test_datko(system: System, form: str, time: str, gauge: Gauge, config) -> Cr
             return INCONCLUSIVE, dict(ev, band="ratio above cap" if s.sup > n_cap else s.skipped.band), None
         return PASS, ev, None
 
-    return scan(_DATKO_IDS[(form, time)], forward_tails(system, form, time, gauge, config),
+    tails = forward_tails(system, form, time, gauge, config, expect_pass=expect_pass)
+    return scan(_DATKO_IDS[(form, time)], settled_within(system, config, tails),
                 {"gauge": gauge.describe(), "t_max": cap, "n_cap": n_cap, "tol": config.tol},
                 t0_at=0, quantity=lambda p: p[3].value / denom(p[2]), early_fail=divergence_witness,
                 evidence=evidence, end=end)
 
 
 def test_barbashin(
-    system: System, form: str, time: str, gauge: Gauge, config, hypothesis: str = "none"
+    system: System, form: str, time: str, gauge: Gauge, config, hypothesis: str = "none", expect_pass: bool = False
 ) -> CriterionReport:
     """Backward adjoint test: gauged dual-trajectory integrals stay bounded.
 
@@ -567,7 +572,7 @@ def test_barbashin(
         return dict(ev, early_exit=True) if stop else ev
 
     return scan(_BARBASHIN_IDS[(form, time)],
-                backward_integrals(system, time, gauge, config, operator=time == "discrete"),
+                backward_integrals(system, time, gauge, config, operator=time == "discrete", expect_pass=expect_pass),
                 {"gauge": gauge.describe(), "n_cap": n_cap, "hypothesis": hypothesis, "tol": config.tol},
                 t0_at=1, quantity=lambda p: p[4], early_fail=lambda p: adjoint_witness(*p) if p[4] > bound(p) else None,
                 evidence=evidence, end=lambda s, ev: (INCONCLUSIVE if s.worst is None else PASS, ev, None))
@@ -576,15 +581,13 @@ def test_barbashin(
 def test_discrete_decay(
     system: System,
     growth_env: GrowthEnvelope | None,
-    int_data: RatioData | None = None,
+    int_data: RatioData,
     n_cap: float = 1e3,
     echo: dict | None = None,
 ) -> CriterionReport:
     """Integer-time exponential decay fit (hypothesis: uniform growth)."""
     if growth_env is None or growth_env.dubious:
         raise MissingGrowthEnvelope("discrete decay test requires a verified growth envelope")
-    if int_data is None:
-        int_data = ratio_data(system, integer_only=True)
     fit = fit_exponential_decay(system, int_data, n_cap)
     max_lag = np.max(int_data.lag, initial=0.0).item()
     thin = max_lag < 5.0
@@ -666,7 +669,7 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
                 reports.append(CriterionReport(cid, INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo))
     for (form, time), cid in _DATKO_IDS.items():
         if want(cid):
-            reports.append(test_datko(system, form, time, gauge, config))
+            reports.append(test_datko(system, form, time, gauge, config, fit is not None))
     stab = next((r for r in reports if r.criterion_id == "unif-stab"), None)
     if stab is not None and stab.verdict == PASS:
         hypothesis = "uniform-stability"
@@ -676,7 +679,7 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
         hypothesis = "none"
     for (form, time), cid in _BARBASHIN_IDS.items():
         if want(cid):
-            reports.append(test_barbashin(system, form, time, gauge, config, hypothesis))
+            reports.append(test_barbashin(system, form, time, gauge, config, hypothesis, fit is not None))
     if want("decay-d"):
         try:
             reports.append(test_discrete_decay(system, env, int_data, config.ncap, echo))

@@ -19,7 +19,7 @@ from skewflow.core import (
 )
 from skewflow.gauges import make_gauge
 from skewflow.nonuniform import fit_nonuniform_decay
-from skewflow.probes import law_probes
+from skewflow.probes import law_probes, ratio_data
 from skewflow.reports import FAIL, PASS
 from skewflow.uniform import fit_exponential_decay
 
@@ -171,7 +171,7 @@ def test_acceptance_7_discrete_continuous_agreement(uniform_panels):
 def test_acceptance_8_shift_consistency(alpha):
     base = exponential_system(-1.0)
     shifted = shift_cocycle(base, alpha)
-    fit = fit_exponential_decay(shifted)
+    fit = fit_exponential_decay(shifted, ratio_data(shifted))
     assert fit is not None
     assert 1.0 + alpha - 0.5 <= fit.nu <= 8.0
 

@@ -12,13 +12,14 @@ import math
 import re
 import struct
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewflow import gallery
+from skewflow import gallery, uniform
 from skewflow.cli import main
 from skewflow.core import ABSTRACT_REAL, SHIFT_PARAMETER, StatePoint, apply, combine_logs
 from skewflow.errors import BudgetExceeded, NonFinite
@@ -459,3 +460,28 @@ def test_the_declaration_leaves_custom_reports_as_they_were(tmp_path_factory, en
     path.write_text(json.dumps({"custom_system": {"entries": entries, "norm": norm, "tail_cap": 30.0}}))
     argv = ("classify", "--config", str(path))
     assert run(argv) == run_undeclared(argv)
+
+
+# ---------------------------------------------------------------------------
+# batching every integral a criterion expects to read moves no byte
+
+_DATA = Path(__file__).resolve().parent / "data"
+
+
+def run_doubling(argv):
+    """The report of ``argv`` with every integral computed in batches of 1, 2, 4, ..., as if no pass were expected."""
+    memoized = uniform._memoized
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniform, "_memoized", lambda memo, n, key, compute, expect_pass=False:
+                   memoized(memo, n, key, compute))
+        return run(argv)
+
+
+@pytest.mark.parametrize("argv", [("classify", "--system", name) for name in gallery.GALLERY_NAMES] + [
+    ("classify", "--config", str(path)) for path in sorted(_DATA.glob("*.json"))] + [
+    ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-1,0,0.5,1,2"),
+    ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-1,0,0.5,1,2", "--eval-cap", "2000"),
+    ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-4"),
+], ids=lambda argv: " ".join(Path(a).name for a in argv[1:]))
+def test_the_batch_sizes_leave_every_report_as_it_was(argv):
+    assert run(argv) == run_doubling(argv)

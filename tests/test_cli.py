@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -403,6 +404,17 @@ def _by_id(text) -> dict:
     return {r["criterion_id"]: r for r in json.loads(text)["criteria"]}
 
 
+def _close(a, b) -> bool:
+    """a == b, with floats equal to a relative 1e-9."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_close(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_close, a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return math.isclose(a, b, rel_tol=1e-9)
+    return a == b
+
+
 class TestStarvedRuns:
     """A budget- or horizon-limited band is no detector result, so never a contradiction."""
 
@@ -443,6 +455,24 @@ class TestStarvedRuns:
             else:
                 assert (r["verdict"], r["witness"]) == (want["verdict"], want["witness"]), cid
 
+    @pytest.mark.parametrize("tmax", [3, 5, 10, 20])
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_a_short_horizon_never_invents_a_verdict(self, uncapped, name, tmax):
+        """Each integral criterion reports the default horizon's verdict and witness, or a horizon-limited probe.
+
+        A tail left unsettled at a --tmax below the system's tail cap was
+        once a divergence witness, and made four gallery systems exit 3.
+        """
+        code, text = run_cli(["classify", "--system", name, "--tmax", str(tmax)])
+        got = _by_id(text)
+        assert code in (0, 1) and json.loads(text)["contradictions"] == []
+        for cid in INTEGRAL_CRITERIA:
+            r, want = got[cid], uncapped[name][cid]
+            if r["evidence"].get("band") == "horizon-limited probe":
+                assert (r["verdict"], r["witness"]) == ("inconclusive", None), cid
+            else:  # the same probe; a tail settled before a shorter horizon may differ in its last digits
+                assert r["verdict"] == want["verdict"] and _close(r["witness"], want["witness"]), cid
+
 
 class TestInconclusiveBands:
     def test_short_horizon_names_the_horizon(self):
@@ -464,3 +494,37 @@ def test_nan_log_ratios_leave_stderr_empty():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+class TestParserIsBuiltOnce:
+    """``main`` builds its argparse parser on its first call and reuses it: no call sees another's values."""
+
+    def test_one_parser_serves_every_call(self):
+        from skewflow.cli import build_parser
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_share_no_values(self, monkeypatch):
+        import skewflow.cli as cli
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "classify", lambda args: seen.append(args) or 0)
+        monkeypatch.setitem(cli.COMMANDS, "sweep", lambda args: seen.append(args) or 0)
+        calls = [
+            ["classify", "--system", "diag3", "--param", "l=1.5", "--param", "alpha1=-1"],
+            ["classify", "--system", "diag3"],
+            ["sweep", "--system", "diag3", "--sweep", "alpha1=-1,1", "--param", "l=2"],
+            ["sweep", "--system", "diag3"],
+            ["classify", "--system", "spike", "--param", "l=3"],
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+        # argparse copies an append default before appending, so the shared [] stays empty
+        assert [a.param for a in seen] == [["l=1.5", "alpha1=-1"], [], ["l=2"], [], ["l=3"]]
+        assert [getattr(a, "sweep", None) for a in seen] == [None, None, ["alpha1=-1,1"], [], None]
+        assert [a.system for a in seen] == ["diag3", "diag3", "diag3", "diag3", "spike"]
+
+    def test_a_usage_error_leaves_the_parser_working(self):
+        with redirect_stdout(io.StringIO()):
+            assert main(["classify", "--tmax", "not-a-number"]) == 2
+            assert main(["nosuch-command"]) == 2
+        code, text = run_cli(["gallery", "list"])
+        assert code == 0 and json.loads(text)["exit_code"] == 0

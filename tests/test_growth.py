@@ -8,7 +8,7 @@ from conftest import exponential_system, shift_cocycle
 
 def test_pure_contraction_gets_bottom_rung():
     s = exponential_system(-1.0)
-    env = estimate_growth(s, "uniform")
+    env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
     assert env.omega == 0.25
     assert env.M == 1.0
     assert not env.dubious
@@ -31,7 +31,7 @@ def test_envelope_m_monotone_in_omega():
 
 
 def test_spike_growth_flagged_dubious(systems):
-    env = estimate_growth(systems["spike"], "uniform")
+    env = estimate_growth(systems["spike"], "uniform", data=ratio_data(systems["spike"], lag_max=10.0))
     assert env.dubious
     assert env.M > 1e3
 
@@ -39,14 +39,15 @@ def test_spike_growth_flagged_dubious(systems):
 def test_shifted_omega_never_larger(systems):
     for name in ("scalar_decay", "bounded_ratio", "tsint"):
         s = systems[name]
-        env = estimate_growth(s, "uniform")
-        env_shifted = estimate_growth(shift_cocycle(s, 0.5), "uniform")
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
+        shifted = shift_cocycle(s, 0.5)
+        env_shifted = estimate_growth(shifted, "uniform", data=ratio_data(shifted, lag_max=10.0))
         assert env_shifted.omega <= env.omega, name
 
 
 def test_growing_system_needs_matching_rung():
     s = exponential_system(1.8)
-    env = estimate_growth(s, "uniform")
+    env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
     assert env.omega == 2.0
     assert not env.dubious
 
@@ -62,12 +63,13 @@ def test_verify_reports_witness():
 
 
 def test_nonuniform_bins(systems):
-    env = estimate_growth(systems["tsint"], "nonuniform")
+    env = estimate_growth(systems["tsint"], "nonuniform", data=ratio_data(systems["tsint"], lag_max=10.0))
     assert env.kind == "nonuniform"
     assert set(env.M_by_s) == set(env.omega_by_s)
     assert all(m >= 1.0 for m in env.M_by_s.values())
 
 
 def test_omega_const_collapse(systems):
-    env = estimate_growth(systems["tsint"], "nonuniform", omega_const=True)
+    tsint = systems["tsint"]
+    env = estimate_growth(tsint, "nonuniform", data=ratio_data(tsint, lag_max=10.0), omega_const=True)
     assert len(set(env.omega_by_s.values())) == 1

@@ -42,7 +42,7 @@ class TestNonuniformFit:
 
     def test_uniform_case_embeds(self):
         s = exponential_system(-1.0)
-        fit = fit_nonuniform_decay(s)
+        fit = fit_nonuniform_decay(s, ratio_data(s))
         assert fit.nu == 1.0
         assert max(fit.N_of_s.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -65,7 +65,7 @@ class TestNonuniformFit:
 class TestMajorant:
     def test_pure_contraction_passes(self):
         s = exponential_system(-1.0)
-        r = majorant_check(s)
+        r = majorant_check(s, ratio_data(s))
         assert r.verdict == PASS
 
     def test_spike_passes(self, systems, ratio_cache):

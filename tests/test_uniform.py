@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from skewflow import RunConfig, gallery, uniform
+from skewflow import RunConfig, gallery, quadrature, uniform
 from skewflow.cli import main
 from skewflow.errors import BudgetExceeded, MissingGrowthEnvelope, NonFinite
 from skewflow.gauges import make_gauge
@@ -55,7 +55,7 @@ class TestFit:
 
     def test_pure_exponential(self):
         s = exponential_system(-2.0)
-        fit = fit_exponential_decay(s)
+        fit = fit_exponential_decay(s, ratio_data(s))
         assert fit.nu == 2.0
         assert fit.N == pytest.approx(1.0, abs=1e-12)
 
@@ -80,7 +80,7 @@ class TestUniformStability:
 
     def test_growing_system_fails_with_witness(self):
         s = exponential_system(1.0)
-        r = uniform_stability_check(s)
+        r = uniform_stability_check(s, ratio_data(s))
         assert r.verdict == FAIL
         assert r.witness is not None
         assert r.evidence["N"] > 1e3
@@ -89,7 +89,7 @@ class TestUniformStability:
 class TestMinorant:
     def test_pure_contraction_passes(self):
         s = exponential_system(-1.0)
-        r = minorant_check(s)
+        r = minorant_check(s, ratio_data(s))
         assert r.verdict == PASS
         # f_hat(h) = e^h, so the overall gain dwarfs the factor
         assert r.evidence["gain"] >= 1e3
@@ -110,7 +110,7 @@ class TestMinorant:
 class TestHalfDecay:
     def test_pure_contraction(self):
         s = exponential_system(-1.0)
-        env = estimate_growth(s, "uniform")
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
         r = half_decay_check(s, env, "continuous", 6.0)
         assert r.verdict == PASS
         assert r.evidence["delta"] == pytest.approx(1.1)
@@ -118,14 +118,14 @@ class TestHalfDecay:
 
     def test_slower_contraction(self):
         s = exponential_system(-0.7)
-        env = estimate_growth(s, "uniform")
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
         r = half_decay_check(s, env, "continuous", 6.0)
         assert r.verdict == PASS
         assert r.evidence["delta"] == pytest.approx(1.1)
 
     def test_bounded_ratio_fails(self, systems):
         s = systems["bounded_ratio"]
-        env = estimate_growth(s, "uniform")
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
         r = half_decay_check(s, env, "continuous", 6.0)
         assert r.verdict == FAIL
         assert r.witness["norm_at_delta_max"] > 0.5
@@ -133,7 +133,7 @@ class TestHalfDecay:
     @pytest.mark.parametrize("mode, deltas", [("continuous", 50), ("discrete", 6)])
     def test_a_fail_evaluates_each_delta_once(self, systems, monkeypatch, mode, deltas):
         s = systems["bounded_ratio"]
-        env = estimate_growth(s, "uniform")
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
         calls = []
         log_norms = uniform.log_norms
         monkeypatch.setattr(uniform, "log_norms", lambda *args: calls.append(args) or log_norms(*args))
@@ -143,7 +143,7 @@ class TestHalfDecay:
 
     def test_discrete_mode(self, systems):
         s = systems["scalar_decay"]
-        env = estimate_growth(s, "uniform")
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
         r = half_decay_check(s, env, "discrete", 6.0)
         assert r.verdict == PASS
         assert r.evidence["delta"] == 1.0
@@ -151,14 +151,15 @@ class TestHalfDecay:
     def test_requires_growth_envelope(self, systems):
         with pytest.raises(MissingGrowthEnvelope):
             half_decay_check(systems["scalar_decay"], None, "continuous", 6.0)
-        dubious = estimate_growth(systems["spike"], "uniform")
+        dubious = estimate_growth(systems["spike"], "uniform", data=ratio_data(systems["spike"], lag_max=10.0))
         with pytest.raises(MissingGrowthEnvelope):
             half_decay_check(systems["spike"], dubious, "continuous", 6.0)
 
     def test_delta_max_validated(self, systems):
-        env = estimate_growth(systems["scalar_decay"], "uniform")
+        s = systems["scalar_decay"]
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
         with pytest.raises(ValueError):
-            half_decay_check(systems["scalar_decay"], env, "continuous", 1.5)
+            half_decay_check(s, env, "continuous", 1.5)
 
 
 class TestDatko:
@@ -272,22 +273,23 @@ class TestBarbashin:
 class TestDiscreteDecay:
     def test_pure_exponential(self, config):
         s = exponential_system(-1.0)
-        env = estimate_growth(s, "uniform")
-        r = discrete_decay_check(s, env, n_cap=config.ncap)
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
+        r = discrete_decay_check(s, env, ratio_data(s, integer_only=True), n_cap=config.ncap)
         assert r.verdict == PASS
         assert r.evidence["nu"] == 1.0
         assert r.evidence["N"] == pytest.approx(1.0, abs=1e-12)
 
     def test_thin_grid_flag(self, config):
         s = exponential_system(-1.0, lag_max=2.0)
-        env = estimate_growth(s, "uniform")
-        r = discrete_decay_check(s, env, n_cap=config.ncap)
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
+        r = discrete_decay_check(s, env, ratio_data(s, integer_only=True), n_cap=config.ncap)
         assert r.evidence["thin_grid"]
 
     def test_requires_growth(self, systems, config):
-        env = estimate_growth(systems["spike"], "uniform")
+        s = systems["spike"]
+        env = estimate_growth(s, "uniform", data=ratio_data(s, lag_max=10.0))
         with pytest.raises(MissingGrowthEnvelope):
-            discrete_decay_check(systems["spike"], env, n_cap=config.ncap)
+            discrete_decay_check(s, env, ratio_data(s, integer_only=True), n_cap=config.ncap)
 
     def test_agreement_with_continuous(self, systems, ratio_cache, uniform_panels):
         for name in systems:
@@ -369,7 +371,8 @@ class TestShiftConsistency:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_shifted_rate_tracks_ladder(self, alpha):
         base = exponential_system(-1.0)
-        fit = fit_exponential_decay(shift_cocycle(base, alpha))
+        shifted = shift_cocycle(base, alpha)
+        fit = fit_exponential_decay(shifted, ratio_data(shifted))
         assert fit is not None
         # factor-2 ladder: the fitted rate lies within one rung of 1 + alpha
         assert (1.0 + alpha) / 2.0 <= fit.nu <= (1.0 + alpha)
@@ -382,7 +385,7 @@ class TestMonotoneGaugeConsistency:
         # nu >= ln 2, so a quadratic-gauge pass must coexist with an
         # identity-gauge pass
         s = exponential_system(rate)
-        fit = fit_exponential_decay(s)
+        fit = fit_exponential_decay(s, ratio_data(s))
         assert fit.N <= 1.0 + 1e-12 and fit.nu >= math.log(2.0)
         quadratic = datko_check(s, "vector", "continuous", make_gauge("pow:2"), config)
         identity = datko_check(s, "vector", "continuous", IDENTITY, config)
@@ -491,11 +494,14 @@ class TestTimeInvariance:
     @pytest.mark.parametrize("name", ["tsint", "spike"])
     def test_undeclared_systems_evaluate_what_they_did(self, monkeypatch, name):
         # the log_diag calls of one classify before time invariance was declared anywhere,
-        # and of one that shares each integral between states
+        # and of one that shares each integral between states.  tsint's rose from 39,341 and
+        # 15,443 when a panel whose decay fit passed began to batch every integral a criterion
+        # reads: its uniform fit passes on the short probe grid, but barbashin-v, -op and -d
+        # fail at their 43rd, 43rd and 28th probes, after the whole batch was computed
         assert _classify_counts(monkeypatch, name, 1, state_independent=False) == [
-            {"tsint": 39341, "spike": 191280}[name]]
+            {"tsint": 42741, "spike": 191280}[name]]
         monkeypatch.undo()
-        assert _classify_counts(monkeypatch, name, 1) == [{"tsint": 15443, "spike": 66500}[name]]
+        assert _classify_counts(monkeypatch, name, 1) == [{"tsint": 16061, "spike": 66500}[name]]
 
     @pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
     def test_two_identical_classify_calls_evaluate_alike(self, monkeypatch, name):
@@ -566,6 +572,30 @@ def _axioms(name):
     with redirect_stdout(buf):
         code = main(["axioms", "--system", name])
     return code, json.loads(buf.getvalue())["laws"]
+
+
+# integrand array calls of one classify: each is one Simpson level pass, a round of tail
+# blocks or series terms, or a set of discrete adjoint sums.  They fell from 141, 272, 116,
+# 98, 130 and 712 when a criterion whose panel's decay fit passed began to compute every
+# integral it reads in one batch, rather than in batches of 1, 2, 4, ...
+INTEGRAND_CALLS = {"shift-metric-demo": 55, "diag3": 100, "scalar_decay": 52, "bounded_ratio": 98,
+                   "tsint": 53, "spike": 471}
+
+
+@pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+def test_integrand_calls_of_one_classify(monkeypatch, name):
+    calls = []
+    evaluate = quadrature.evaluate
+
+    def counting(F, x, k):
+        calls.append(x.size)
+        return evaluate(F, x, k)
+
+    monkeypatch.setattr(quadrature, "evaluate", counting)
+    monkeypatch.setattr(uniform, "evaluate", counting)
+    with redirect_stdout(io.StringIO()):
+        main(["classify", "--system", name])
+    assert len(calls) == INTEGRAND_CALLS[name]
 
 
 class TestStateIndependence:
@@ -719,6 +749,24 @@ def test_a_discrete_sum_of_more_terms_than_the_evaluation_cap_is_budget_limited(
     assert {r for *_, r in tails} == {Skipped("budget")}
 
 
+def test_memoized_batches_hold_every_missing_key_when_a_pass_is_expected():
+    """One batch holds every distinct missing key; a key that changed after it is computed in one more batch."""
+    memo, batches = {"b": "kept"}, []
+    keys = ["a", "b", "a", "c", "d", "c"]
+
+    def key(i):  # a key that reads the memo, as time-invariant sharing does: 4 moves to "e" once "a" is in
+        return "e" if i == 4 and "a" in memo else keys[i]
+
+    def compute(positions):
+        batches.append(positions)
+        return [f"at {p}" for p in positions]
+
+    got = list(uniform._memoized(memo, 6, key, compute, expect_pass=True))
+    assert batches == [[0, 3, 4], [4]]  # a, c and d at once; then e, which only 4 reads
+    assert got == [(0, "at 0"), (1, "kept"), (2, "at 0"), (3, "at 3"), (4, "at 4"), (5, "at 3")]
+    assert memo == {"a": "at 0", "b": "kept", "c": "at 3", "d": "at 4", "e": "at 4"}
+
+
 def test_memoized_batches_hold_1_2_4_keys():
     """A caller that stops at its k-th key has computed its keys in batches of 1, 2, 4, ..., fewer than 2k."""
     for k in range(1, 65):
@@ -738,7 +786,9 @@ class TestEarlyExitsStayCheap:
     """A criterion that stops at its k-th probe has its integrals computed in batches of 1, 2, 4, ...
 
     so fewer than 2k of them: each memo setting holds fewer than twice the
-    entries that one probe at a time computed (the counts below).
+    entries that one probe at a time computed (the counts below).  Both
+    runs have failing decay fits, uniform and nonuniform, so no criterion
+    of theirs expects to pass and batches everything it reads at once.
     """
 
     ONE_AT_A_TIME = {
