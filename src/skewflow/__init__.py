@@ -1,15 +1,8 @@
 """Skew-product flow construction and exponential-stability testing.
 
-Build a system (from the gallery or the declarative family), then run the
-uniform and nonuniform criterion panels against it:
-
-    from skewflow import gallery, run_nonuniform_panel, RunConfig
-
-    system = gallery.build("scalar_decay")
-    verdict = run_nonuniform_panel(system, RunConfig())
-    print(verdict.label)          # "UES"
-
-Everything else lives in its module (``skewflow.core``,
+Build a system (``gallery.build`` or ``gallery.build_custom``) and run
+``run_nonuniform_panel(system, RunConfig())`` on it, as in the README's
+quick start.  Everything else lives in its module (``skewflow.core``,
 ``skewflow.quadrature``, ``skewflow.uniform``, ...).
 """
 

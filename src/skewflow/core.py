@@ -9,14 +9,9 @@ two-time-parameter families defined for ``t >= s >= 0`` and satisfy
     Phi(t, s, phi(s, t0, x)) Phi(s, t0, x) = Phi(t, t0, x)
 
 A cocycle is diagonal and provides ``log_diag(t, s, x)``, the logs of its
-entry magnitudes, as closed-form scalars.  Trajectory norms are computed
-from those logs, so ratios survive horizons where ``exp()`` would over- or
-underflow.  There is one evaluation path, on arrays of time pairs and
-states: a cocycle may declare an array form of ``log_diag`` (see
-``array_form``), and one that does not is served by mapping ``log_diag``
-over the elements.  Transcendental functions run element by element on
-``math``, so every value is bit-identical to the scalar formula's, and an
-overflow raises ``OverflowError`` as it does there.
+entry magnitudes.  Trajectory norms are computed from those logs on one
+array path; the README ("Numerical conventions") gives its rules: array
+forms (``array_form``), ``math`` element by element, ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -153,15 +148,11 @@ class System:
     the system's contract.  ``vector_samples`` must be unit vectors in
     ``norm_choice``; ``dual_samples`` unit in the dual norm.  The cocycle
     is any object with a ``log_diag(t, s, x)`` method returning the logs of
-    its diagonal entries' magnitudes.  ``time_invariant`` declares that
-    ``log_diag(t, s, x)`` and ``semiflow(t, s, x)`` depend on t and s only
-    through t - s; the integral criteria then share an integral between
-    starting times (see ``uniform.forward_tails``).  ``state_independent``
-    declares that ``log_diag(t, s, x)`` does not read x; the integrals, which
-    read the state only through it, are then shared between states.
-    ``axioms`` checks both declarations.  ``memo`` holds the integral results
-    computed for this system; a copy made with ``dataclasses.replace`` starts
-    with an empty one.
+    its diagonal entries' magnitudes.  ``time_invariant`` (t and s read only
+    through t - s) and ``state_independent`` (x not read) let the integral
+    criteria share integrals (README); ``axioms`` checks both.  ``memo``
+    holds the integral results computed for this system; a copy made with
+    ``dataclasses.replace`` starts with an empty one.
     """
 
     name: str

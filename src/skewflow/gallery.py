@@ -1,20 +1,4 @@
-"""Built-in example systems with known classifications.
-
-Six systems, each a semiflow/cocycle pair whose cocycle values are
-exponentials of closed-form scalars:
-
-  shift-metric-demo  shift flow on a two-sided function space, scalar
-                     contraction driven by the integral of the state
-  diag3              the same function space driving a 3x3 diagonal
-                     cocycle with per-entry exponent multipliers
-  scalar_decay       shift flow on decreasing translates, exponent
-                     -mu (t-s) + integral of the state (UES)
-  bounded_ratio      translation flow with bounded nondecreasing f,
-                     Phi = f(x) / f(t-s+x)   (uniformly stable, not UES)
-  tsint              Phi = exp(t sin t - s sin s - 2 (t-s))  (nonuniform)
-  spike              Phi = f(s)/f(t) e^{-(t-s)} where log f dips to 0 in
-                     geometrically narrowing windows after each integer
-                     (nonuniformly stable, dramatic transients at nodes)
+"""Built-in example systems with known classifications: the six of the README's gallery table.
 
 Base-function choices are overridable defaults satisfying each family's
 shape constraints.  Each cocycle's ``log_diag_array`` is the array form of

@@ -35,14 +35,17 @@ from .reports import (
 from .uniform import (
     _DATKO_IDS,
     NU_LADDER,
+    Skipped,
     UniformPanel,
     adjoint_witness,
     backward_integrals,
     divergence_witness,
     forward_tails,
+    gauged,
     run_uniform_panel,
     scan,
     settled_within,
+    shift_weight,
 )
 
 N_CAP_NONUNIFORM = 1e6
@@ -135,7 +138,7 @@ def test_decaying_majorant(
 
 
 def test_datko_nonuniform(
-    system: System, form: str, time: str, gauge: Gauge, alpha: float, config, expect_pass: bool = False
+    system: System, form: str, time: str, gauge: Gauge, alpha: float, config, expect=None
 ) -> CriterionReport:
     """Shifted-weight forward tail test.
 
@@ -154,18 +157,22 @@ def test_datko_nonuniform(
     if literal_threshold:
         echo["flag"] = "literal-threshold R(t0)"
 
-    def ratio(probe):
-        return probe[3].value / (gauge(vec_norm(probe[2], system.norm_choice)) if form == "vector" else 1.0)
+    denom = {id(v): gauge(vec_norm(v, system.norm_choice)) if form == "vector" else 1.0  # by id, as in test_datko
+             for v in system.vector_samples}
 
     def evidence(s, stop=None):
         return {"per_t0": sorted(s.per_t0.items()), "divergence": stop is not None, "n_cap": n_cap}
 
     def end(s, ev):
-        if literal_threshold:
-            bad = [(t0, r) for t0, r in ev["per_t0"] if r >= gauge(t0) or gauge(t0) == 0.0]
+        if literal_threshold:  # a threshold beyond float range leaves its t0 overflow-limited
+            threshold = {t0: gauged(gauge, t0) for t0, _ in ev["per_t0"]}
+            bad = [(t0, r) for t0, r in ev["per_t0"]
+                   if threshold[t0] is not None and (r >= threshold[t0] or threshold[t0] == 0.0)]
             ev["literal_violations"] = bad
             if bad:
-                return FAIL, ev, witness_dict(t0=bad[0][0], ratio=bad[0][1], threshold=gauge(bad[0][0]))
+                return FAIL, ev, witness_dict(t0=bad[0][0], ratio=bad[0][1], threshold=threshold[bad[0][0]])
+            if None in threshold.values():
+                s.skipped = s.skipped or Skipped("overflow")
         elif s.worst is not None and s.sup > n_cap:
             (t0, x, v, _), r = s.worst
             return FAIL, ev, witness_dict(t0=t0, x=x, v=v, ratio=r)
@@ -173,13 +180,14 @@ def test_datko_nonuniform(
             return INCONCLUSIVE, dict(ev, band=s.skipped.band), None
         return PASS, ev, None
 
-    tails = forward_tails(system, form, time, gauge, config, alpha, first=0, expect_pass=expect_pass)
+    tails = forward_tails(system, form, time, gauge, config, alpha, first=0, expect=expect)
     return scan(_DATKO_IDS[(form, time)] + "-nu", settled_within(system, config, tails), echo,
-                t0_at=0, quantity=ratio, early_fail=divergence_witness, evidence=evidence, end=end)
+                t0_at=0, quantity=lambda p: p[3].value / denom[id(p[2])], early_fail=divergence_witness,
+                evidence=evidence, end=end)
 
 
 def test_barbashin_nonuniform(
-    system: System, time: str, gauge: Gauge, alpha_or_gamma: float, config, expect_pass: bool = False
+    system: System, time: str, gauge: Gauge, alpha_or_gamma: float, config, expect=None
 ) -> CriterionReport:
     """Shifted-weight backward adjoint test with per-t0 constants."""
     if not alpha_or_gamma > 0.0:
@@ -198,7 +206,7 @@ def test_barbashin_nonuniform(
         return PASS, ev, None
 
     return scan("barbashin-nu" if time == "continuous" else "barbashin-d-nu",
-                backward_integrals(system, time, gauge, config, alpha_or_gamma, expect_pass=expect_pass),
+                backward_integrals(system, time, gauge, config, alpha_or_gamma, expect=expect),
                 {"gauge": gauge.describe(), "alpha": alpha_or_gamma, "n_cap": n_cap},
                 t0_at=1, quantity=lambda p: p[4], early_fail=lambda p: adjoint_witness(*p) if p[4] > n_cap else None,
                 evidence=evidence, end=end)
@@ -237,17 +245,19 @@ def run_nonuniform_panel(
     from .gauges import make_gauge
 
     data = ratio_data(system, s_step=config.grid_step)
-    if uniform is None:
-        uniform = run_uniform_panel(system, config, data=data, selected=selected)
-    gauge = make_gauge(config.gauge)
     cap = config.ncap_nonuniform
+    # fitted first: a passing fit lets the uniform panel compute this panel's integrals with its own
+    nfit = fit_nonuniform_decay(system, data, NU_LADDER, cap)
+    if uniform is None:
+        uniform = run_uniform_panel(system, config, data=data, selected=selected, nfit=nfit)
+    gauge = make_gauge(config.gauge)
     echo = {"gauge": gauge.describe(), "n_cap": cap}
 
     def want(cid):
         return selected is None or cid in selected
 
-    nfit = fit_nonuniform_decay(system, data, NU_LADDER, cap)
-    alpha = uniform.fit.nu / 2.0 if uniform.fit is not None else 0.5
+    alpha = shift_weight(uniform.fit)
+    expect = () if nfit is not None else None
 
     reports = []
     if want("fit-exp-nu"):
@@ -256,10 +266,10 @@ def run_nonuniform_panel(
         reports.append(test_decaying_majorant(system, data, echo=echo))
     for (form, time), cid in _DATKO_IDS.items():
         if want(cid + "-nu"):
-            reports.append(test_datko_nonuniform(system, form, time, gauge, alpha, config, nfit is not None))
+            reports.append(test_datko_nonuniform(system, form, time, gauge, alpha, config, expect))
     for time, cid in (("continuous", "barbashin-nu"), ("discrete", "barbashin-d-nu")):
         if want(cid):
-            reports.append(test_barbashin_nonuniform(system, time, gauge, alpha, config, nfit is not None))
+            reports.append(test_barbashin_nonuniform(system, time, gauge, alpha, config, expect))
 
     all_reports = list(uniform.reports) + reports
     discrepancies = list(uniform.discrepancies)

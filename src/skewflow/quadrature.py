@@ -5,19 +5,11 @@ the values at points ``x`` of the integrals ``k``.  ``F`` may raise
 ``OverflowError``, as ``math.exp`` does; ``evaluate`` then finds the points
 that raise by bisection, and each of them counts as a non-finite value.
 
-Finite intervals use adaptive-bisection Simpson quadrature, refined level
-by level: one call of ``F`` per level evaluates the quarter points of every
-pending segment.  A segment is accepted or split on its own values alone,
-so each integral makes the evaluations of a depth-first run, and its
-accepted segments are summed left to right: value, error estimate and
-evaluation count are the depth-first run's, bit for bit.  Improper upper
-limits are integrated in unit blocks until the last block settles
-(converged) or a horizon cap is reached; series are summed term by term.
-A block or term settles when it is below tol/10 or can no longer change
-the running total (at most 2**-52 of it), so a tol below float resolution
-cannot keep a converged tail running.  Hitting the cap is reported as
-``converged = False`` with the partial value: criteria interpret that as a
-divergence signal, never as an exception.
+Finite intervals use adaptive Simpson, refined level by level (one call
+of ``F`` per level), bit for bit a depth-first run; tails integrate unit
+blocks and series add terms until one settles or a horizon cap is hit,
+which is ``converged = False`` with the partial value, never an
+exception.  The README ("Numerical conventions") states the rules.
 
 Each integral has its own evaluation cap and fails on its own: its result
 is then the ``NonFinite`` or ``BudgetExceeded`` instance.  Precedence:

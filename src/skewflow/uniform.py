@@ -1,10 +1,7 @@
-"""Uniform-setting stability criteria and their panel.
+"""Uniform-setting stability criteria and their panel, with the cap N_cap (default 1e3).
 
-Every "for all" quantifier is discharged over finite probe grids with the
-cap N_cap (default 1e3) and an explicit inconclusive band, so pass/fail is
-reproducible and every fail carries a falsifiable witness.  Forward tail
-integrals that hit the system's tail cap without settling are treated as
-divergence witnesses.
+Forward tail integrals that hit the system's tail cap without settling
+are divergence witnesses.
 """
 
 from __future__ import annotations
@@ -255,13 +252,10 @@ class Skipped:
 def _with_halving(run, a, horizon):
     """run(idx, horizons) on the probes idx, halving beyond a_i the horizon of each that overflowed or ran out of budget.
 
-    An overflow means the horizon was too long for the integrand's range,
-    so the divergence signal is recovered at the largest finite horizon.
-    A budget says nothing of divergence: a tail left unsettled at a horizon
-    that the budget shortened stays Skipped("budget").  Only the probes that
-    failed run again.  A probe is Skipped when no horizon longer than 2
-    fits, naming its last failure (or the horizon itself when none was
-    tried).
+    Only the failed probes run again (README, "Numerical conventions").  A
+    tail left unsettled at a horizon the budget shortened stays
+    Skipped("budget"); a probe with no horizon longer than 2 is Skipped
+    with its last failure (or "horizon" when none was tried).
     """
     out = [Skipped("horizon")] * len(a)
     h = list(horizon)
@@ -292,19 +286,28 @@ def _norm_class(w):
     return None if cls == (1.0,) else cls
 
 
+def gauged(gauge: Gauge, t: float) -> float | None:
+    """gauge(t), or None when it leaves float range (a large power)."""
+    try:
+        return gauge(t)
+    except OverflowError:
+        return None
+
+
 def _memoized(memo: dict, n: int, key, compute, expect_pass: bool = False):
     """(position, memo[key(position)]) for positions 0..n-1 in order, computing the missing ones in batches.
 
     ``compute(positions)`` returns the results for those keys.  A batch
     holds every distinct missing key when the caller ``expect_pass``es
-    (reads every position), so a wrong guess costs what a pass would;
-    else the next 1, 2, 4, ..., so a caller that stops at its k-th probe
-    has computed at most 2k - 1.  ``key`` may read the memo: a key that
-    changed when its position is reached is computed in the next batch.
+    (reads every position), so a wrong guess costs what a pass would; else
+    the next 1, 2, 4, ..., so a caller that stops at its k-th probe has
+    computed at most 2k - 1.  ``key`` may read the memo: a key that changed
+    when its position is reached is computed in the next batch.
     """
     sizes = itertools.repeat(n) if expect_pass else (2 ** i for i in itertools.count())
     for i in range(n):
-        if key(i) not in memo:
+        k = key(i)
+        if k not in memo:
             size, batch = next(sizes), {}
             for j in range(i, n):
                 kj = key(j)
@@ -313,7 +316,7 @@ def _memoized(memo: dict, n: int, key, compute, expect_pass: bool = False):
                     if len(batch) == size:
                         break
             memo.update(zip(batch, compute(list(batch.values()))))
-        yield i, memo[key(i)]
+        yield i, memo[k]
 
 
 def _logs(vectors):
@@ -324,126 +327,136 @@ def _logs(vectors):
 
 
 def forward_tails(system: System, form: str, time: str, gauge: Gauge, config,
-                  alpha: float = 0.0, first: int = 1, expect_pass: bool = False):
+                  alpha: float = 0.0, first: int = 1, expect=None):
     """Forward tails of R(e^{alpha (s - t0)} ||Phi(s,t0,x)v||), one per tail probe.
 
-    Yields (t0, x, v, result) in probe order, where result is the
-    IntegralResult, or Skipped when no horizon fits the integrand's range.
-    The operator form uses the induced norm, which does not depend on v, so
-    it keeps one probe per (t0, x).  Continuous tails run from t0 to the
-    horizon cap; discrete sums run over n >= floor(t0) + first, with as many
-    terms as the cap.  Each distinct tail is computed once per system, and
-    the missing ones are computed together (see ``_memoized``).  On a
-    time-invariant system the integrand is one function of s - t0 (t0 runs
-    over integers), so the tail from the first t0 of (x, norm class) serves
-    each later t0 whose horizon it settled within; an unsettled or Skipped
-    tail is computed per t0, so its witness stays its own.  On a
-    state-independent system one tail serves every x: the same points, the
-    same values.
+    Yields (t0, x, v, result) in probe order, result being Skipped when no
+    horizon fits the integrand's range.  The operator form (induced norm)
+    keeps one probe per (t0, x).  Discrete sums run over n >= floor(t0) +
+    first.  Each distinct tail is computed once per system: ``expect`` None
+    computes the missing ones in batches of 1, 2, 4, ...; a tuple of weights
+    computes them in one batch, together with the same probes' tails at each
+    of those weights, for the runs at them to read.  Time-invariant and
+    state-independent systems share tails between t0s and xs (README).
     """
     cap = min(config.tmax, system.horizons.tail_cap)
-    lead = system.vector_samples[0]
-    probes = [(t0, x, v) for t0, x, v in tail_probes(system) if form == "vector" or v is lead]
-    classes = [_norm_class(v if form == "vector" else None) for _, _, v in probes]
-    # keyed by everything the integrand and the quadrature read
-    memo = system.memo.setdefault(
-        ("tail", time, gauge, alpha, first if time == "discrete" else None,
-         cap, config.tol, config.eval_cap), {})
+    vectors = system.vector_samples if form == "vector" else system.vector_samples[:1]
+    classes = [_norm_class(v) if form == "vector" else None for v in vectors]
+    # tail_probes runs over the vectors innermost: probe p has the class of vector p mod len(vectors)
+    probes = [(t0, x, v) for t0, x, v in tail_probes(system) if form == "vector" or v is vectors[0]]
+    weights = (alpha, *(expect or ()))
+    # one per weight, keyed by everything the integrand and the quadrature read
+    memos = [system.memo.setdefault(("tail", time, gauge, w, first if time == "discrete" else None,
+                                     cap, config.tol, config.eval_cap), {}) for w in weights]
 
     def horizon(t0):  # where the tail from t0 stops at the latest
         return cap if time == "continuous" else math.floor(t0) + first + int(cap)
 
-    def key(p):
+    def key(p, memo):
         t0, x, _ = probes[p]
-        x = None if system.state_independent else x
-        start, r = memo.get((None, x, classes[p]), (t0, None))
+        x, cls = None if system.state_independent else x, classes[p % len(classes)]
+        start, r = memo.get((None, x, cls), (t0, None))
         shared = system.time_invariant and (r is None or start == t0 or isinstance(r, IntegralResult) and (
             r.converged and r.truncation_horizon - start <= horizon(t0) - t0))
-        return None if shared else t0, x, classes[p]
+        return None if shared else t0, x, cls
 
     def compute(positions):
-        t0s = np.array([probes[p][0] for p in positions])
-        states = States.of([probes[p][1] for p in positions])
-        lw = _logs([probes[p][2] if form == "vector" else None for p in positions])
+        jobs = [(p, 0, None) for p in positions]  # (probe, weight, key at a further weight)
+        for m in range(1, len(memos)):  # a tail shared between t0s runs from the first t0, as its own run does
+            batch = {}
+            for p in positions:
+                k = key(p, memos[m])
+                if k not in memos[m] and (k[0] is not None or probes[p][0] == probes[0][0]):
+                    batch.setdefault(k, p)
+            jobs += [(p, m, k) for k, p in batch.items()]
+        t0s = np.array([probes[p][0] for p, _, _ in jobs])
+        w = np.array([weights[m] for _, m, _ in jobs])
+        states = States.of([probes[p][1] for p, _, _ in jobs])
+        lw = _logs([probes[p][2] if form == "vector" else None for p, _, _ in jobs])
 
         def integrand(sigma, k):
             t0 = t0s[k]
             ln = log_norms(system, sigma, t0, States(states.value[k], states.real[k]),
                            None if lw is None else lw[:, k])
-            return gauge.array(apply(math.exp, alpha * (sigma - t0) + ln))
+            return gauge.array(apply(math.exp, w[k] * (sigma - t0) + ln))
 
         def on(idx):
             return lambda x, k: integrand(x, idx[k])
 
         if time == "continuous":
-            return _with_halving(
+            results = _with_halving(
                 lambda idx, h: tails(on(idx), t0s[idx], h, config.tol, config.eval_cap, window=AHEAD),
-                t0s.tolist(), [cap] * len(positions),
-            )
-        n0 = [math.floor(t0) + first for t0 in t0s.tolist()]
-        return _with_halving(
-            lambda idx, h: series(on(idx), [n0[i] for i in idx], config.tol,
-                                  [int(hi - n0[i]) for i, hi in zip(idx, h)], config.eval_cap, window=AHEAD),
-            n0, [horizon(t0) for t0 in t0s.tolist()],
-        )
+                t0s.tolist(), [cap] * len(jobs))
+        else:
+            n0 = [math.floor(t0) + first for t0 in t0s.tolist()]
+            results = _with_halving(
+                lambda idx, h: series(on(idx), [n0[i] for i in idx], config.tol,
+                                      [int(hi - n0[i]) for i, hi in zip(idx, h)], config.eval_cap, window=AHEAD),
+                n0, [horizon(t0) for t0 in t0s.tolist()])
+        # each result is stored with the t0 it ran from
+        for (p, m, k), r in zip(jobs, results):
+            if m:
+                memos[m][k] = probes[p][0], r
+        return [(probes[p][0], r) for p, r in zip(positions, results)]
 
-    # each result is stored with the t0 it ran from
-    for i, (_, result) in _memoized(memo, len(probes), key, lambda ps: zip([probes[p][0] for p in ps], compute(ps)),
-                                    expect_pass):
+    for i, (_, result) in _memoized(memos[0], len(probes), lambda p: key(p, memos[0]), compute, expect is not None):
         yield (*probes[i], result)
 
 
 def backward_integrals(system: System, time: str, gauge: Gauge, config,
-                       alpha: float = 0.0, operator: bool = False, expect_pass: bool = False):
+                       alpha: float = 0.0, operator: bool = False, expect=None):
     """Integrals of R(e^{alpha (t - s)} ||Phi(t,s,phi(s,t0,x))* v*||) over s in [t0, t].
 
-    Yields (t, t0, x, vstar, value) in probe order, where value is Skipped
-    when the integral overflowed or ran out of budget.  Discrete time sums
-    over the integers s = t0, ..., t instead; a term that overflowed skips
-    its sum.  With ``operator`` the induced norm of
-    Phi(t,s,phi(s,t0,x)) replaces the dual vector norm, with one probe per
-    (t, t0, x) and vstar None.  Each distinct integral is computed once per
-    system, and the missing ones are computed together (see ``_memoized``);
-    on a time-invariant system the integrand depends on t and t0 only through
-    t - t0, so one integral serves every (t, t0) of the same length, and on a
-    state-independent one every x.  A discrete sum of more terms than the
-    evaluation cap is Skipped("budget").
+    Yields (t, t0, x, vstar, value) in probe order, value being Skipped when
+    the integral overflowed or ran out of budget.  Discrete time sums over
+    s = t0, ..., t; a term that overflowed skips its sum, and a sum of more
+    terms than the evaluation cap is Skipped("budget").  With ``operator``
+    the induced norm replaces the dual vector norm (vstar None).  Batches
+    and sharing as in ``forward_tails``: on a time-invariant system one
+    integral serves every (t, t0) with the same t - t0.
     """
     pairs = backward_pairs(system) if time == "continuous" else discrete_pairs(system)
-    probes = [(t, t0, x, w) for t, t0 in pairs for x in system.state_samples
-              for w in ((None,) if operator else system.dual_samples)]
-    keys = [((t - t0,) if system.time_invariant else (t, t0)) + (None if system.state_independent else x, _norm_class(w))
-            for t, t0, x, w in probes]
-    memo = system.memo.setdefault(
-        ("adjoint", time, gauge, alpha, config.tol, config.eval_cap), {})
+    duals = [(None, None)] if operator else [(w, _norm_class(w)) for w in system.dual_samples]
+    probes = [(t, t0, x, w) for t, t0 in pairs for x in system.state_samples for w, _ in duals]
+    keys = [((t - t0,) if system.time_invariant else (t, t0)) + (None if system.state_independent else x, c)
+            for t, t0 in pairs for x in system.state_samples for _, c in duals]
+    weights = (alpha, *(expect or ()))
+    memos = [system.memo.setdefault(("adjoint", time, gauge, w, config.tol, config.eval_cap), {}) for w in weights]
 
     def compute(positions):
-        ends = np.array([float(probes[p][0]) for p in positions])
-        starts = np.array([float(probes[p][1]) for p in positions])
-        states = States.of([probes[p][2] for p in positions])
-        lw = _logs([probes[p][3] for p in positions])
+        # a batch's keys are new, so each comes from its first probe, as in a run at any weight
+        jobs = [(p, m) for m, memo in enumerate(memos) for p in positions if not m or keys[p] not in memo]
+        ends = np.array([float(probes[p][0]) for p, _ in jobs])
+        starts = np.array([float(probes[p][1]) for p, _ in jobs])
+        w = np.array([weights[m] for _, m in jobs])
+        states = States.of([probes[p][2] for p, _ in jobs])
+        lw = _logs([probes[p][3] for p, _ in jobs])
 
         def integrand(s, k):
             end = ends[k]
             y = evolve(system, s, starts[k], States(states.value[k], states.real[k]))
             ln = log_norms(system, end, s, y, None if lw is None else lw[:, k], dual=True)
-            return gauge.array(apply(math.exp, alpha * (end - s) + ln))
+            return gauge.array(apply(math.exp, w[k] * (end - s) + ln))
 
         if time == "continuous":
-            results = simpson(integrand, starts, ends, [config.tol] * len(positions),
-                              [config.eval_cap] * len(positions))
-            return [r.value if not isinstance(r, Exception) else Skipped.after(r) for r in results]
-        spans = [range(probes[p][1], probes[p][0] + 1) for p in positions]
-        spans = [r if len(r) <= config.eval_cap else range(0) for r in spans]
-        k = np.repeat(np.arange(len(spans)), [len(r) for r in spans])
-        with np.errstate(all="ignore"):
-            y, over = evaluate(integrand, np.array([float(n) for r in spans for n in r]), k)
-        # a term that raised OverflowError skips its sum; any other term is added, in order
-        return [Skipped("budget") if not r else Skipped("overflow") if over[j - len(r):j].any() else
-                functools.reduce(float.__add__, y[j - len(r):j].tolist(), 0.0)
-                for r, j in zip(spans, itertools.accumulate(map(len, spans)))]
+            results = simpson(integrand, starts, ends, [config.tol] * len(jobs), [config.eval_cap] * len(jobs))
+            values = [r.value if not isinstance(r, Exception) else Skipped.after(r) for r in results]
+        else:
+            spans = [range(probes[p][1], probes[p][0] + 1) for p, _ in jobs]
+            spans = [r if len(r) <= config.eval_cap else range(0) for r in spans]
+            k = np.repeat(np.arange(len(spans)), [len(r) for r in spans])
+            with np.errstate(all="ignore"):
+                y, over = evaluate(integrand, np.array([float(n) for r in spans for n in r]), k)
+            # a term that raised OverflowError skips its sum; any other term is added, in order
+            values = [Skipped("budget") if not r else Skipped("overflow") if over[j - len(r):j].any() else
+                      functools.reduce(float.__add__, y[j - len(r):j].tolist(), 0.0)
+                      for r, j in zip(spans, itertools.accumulate(map(len, spans)))]
+        for (p, m), v in zip(jobs, values):
+            if m:
+                memos[m][keys[p]] = v
+        return values[:len(positions)]
 
-    for i, value in _memoized(memo, len(keys), keys.__getitem__, compute, expect_pass):
+    for i, value in _memoized(memos[0], len(keys), keys.__getitem__, compute, expect is not None):
         t, t0, x, w = probes[i]
         yield t, t0, x, w, value
 
@@ -511,22 +524,21 @@ def scan(cid, probes, echo, *, t0_at, quantity, early_fail, evidence, end) -> Cr
     return CriterionReport(cid, verdict, ev, witness=w, config_echo=echo)
 
 
-def test_datko(system: System, form: str, time: str, gauge: Gauge, config, expect_pass: bool = False) -> CriterionReport:
+def test_datko(system: System, form: str, time: str, gauge: Gauge, config, expect=None) -> CriterionReport:
     """Forward tail test: gauged trajectory norms must have bounded tails.
 
     vector: integral (or series) of R(||Phi(s,t0,x)v||) from t0, compared to
     N_cap * R(||v||).  operator: same with the induced norm, compared to
     N_cap * R(1).  A tail that fails to settle before the system's tail cap
     is a divergence witness (see ``settled_within``); a settled tail lands
-    in pass / inconclusive / fail bands at N_cap and 10*N_cap.
+    in pass / inconclusive / fail bands at N_cap and 10*N_cap.  ``expect``
+    sizes the batches (see ``forward_tails``).
     """
     n_cap = config.ncap
     cap = min(config.tmax, system.horizons.tail_cap)
-
-    def denom(v):
-        return gauge(vec_norm(v, system.norm_choice) if form == "vector" else 1.0)
-
-    if any(denom(v) == 0.0 for v in system.vector_samples):
+    # per sample vector, by id: the probes carry the system's own vectors
+    denom = {id(v): gauge(vec_norm(v, system.norm_choice) if form == "vector" else 1.0) for v in system.vector_samples}
+    if 0.0 in denom.values():
         raise DegenerateProbe("gauge vanished on a unit probe vector")
 
     def evidence(s, stop=None):
@@ -541,28 +553,33 @@ def test_datko(system: System, form: str, time: str, gauge: Gauge, config, expec
             return INCONCLUSIVE, dict(ev, band="ratio above cap" if s.sup > n_cap else s.skipped.band), None
         return PASS, ev, None
 
-    tails = forward_tails(system, form, time, gauge, config, expect_pass=expect_pass)
+    tails = forward_tails(system, form, time, gauge, config, expect=expect)
     return scan(_DATKO_IDS[(form, time)], settled_within(system, config, tails),
                 {"gauge": gauge.describe(), "t_max": cap, "n_cap": n_cap, "tol": config.tol},
-                t0_at=0, quantity=lambda p: p[3].value / denom(p[2]), early_fail=divergence_witness,
+                t0_at=0, quantity=lambda p: p[3].value / denom[id(p[2])], early_fail=divergence_witness,
                 evidence=evidence, end=end)
 
 
 def test_barbashin(
-    system: System, form: str, time: str, gauge: Gauge, config, hypothesis: str = "none", expect_pass: bool = False
+    system: System, form: str, time: str, gauge: Gauge, config, hypothesis: str = "none", expect=None
 ) -> CriterionReport:
     """Backward adjoint test: gauged dual-trajectory integrals stay bounded.
 
     vector-dual: integral over [t0, t] of R(||Phi(t,s,phi(s,t0,x))* v*||)
-    against R(N_cap ||v*||).  operator-dual: the same integral against the
-    plain constant cap; its discrete sums use the induced norm.  The report
+    against R(N_cap ||v*||), a probe whose bound leaves float range being
+    overflow-limited.  operator-dual: the same integral against the plain
+    constant cap; its discrete sums use the induced norm.  The report
     records which hypothesis (uniform stability or growth) was established
     before running, since the two variants of this test differ only there.
     """
     n_cap = config.ncap
+    bounds = {id(w): gauged(gauge, n_cap * dual_norm(w, system.norm_choice)) for w in system.dual_samples}
 
     def bound(probe):
-        return gauge(n_cap * dual_norm(probe[3], system.norm_choice)) if form == "vector-dual" else n_cap
+        return bounds[id(probe[3])] if form == "vector-dual" else n_cap
+
+    integrals = (p if isinstance(p[4], Skipped) or bound(p) is not None else (*p[:4], Skipped("overflow"))
+                 for p in backward_integrals(system, time, gauge, config, operator=time == "discrete", expect=expect))
 
     def evidence(s, stop=None):
         if (stop or s.worst) is None:
@@ -571,11 +588,11 @@ def test_barbashin(
         ev = {"sup_integral": val, "bound": bound(probe), "overflow_skipped": s.skipped is not None}
         return dict(ev, early_exit=True) if stop else ev
 
-    return scan(_BARBASHIN_IDS[(form, time)],
-                backward_integrals(system, time, gauge, config, operator=time == "discrete", expect_pass=expect_pass),
+    return scan(_BARBASHIN_IDS[(form, time)], integrals,
                 {"gauge": gauge.describe(), "n_cap": n_cap, "hypothesis": hypothesis, "tol": config.tol},
                 t0_at=1, quantity=lambda p: p[4], early_fail=lambda p: adjoint_witness(*p) if p[4] > bound(p) else None,
-                evidence=evidence, end=lambda s, ev: (INCONCLUSIVE if s.worst is None else PASS, ev, None))
+                evidence=evidence, end=lambda s, ev: (PASS, ev, None) if s.worst else (
+                    INCONCLUSIVE, dict(ev, band=s.skipped.band) if s.skipped else ev, None))
 
 
 def test_discrete_decay(
@@ -630,13 +647,20 @@ def _fit_report(fit: DecayFit | None, data: RatioData, n_cap: float, echo: dict)
                            "max_ratio": math.exp(min(worst, 700.0)), "n_cap": n_cap}, config_echo=echo)
 
 
-def run_uniform_panel(system: System, config, data: RatioData | None = None, selected=None) -> UniformPanel:
+def shift_weight(fit: DecayFit | None) -> float:
+    """The nonuniform criteria's weight alpha: half the uniform decay rate, else 1/2."""
+    return fit.nu / 2.0 if fit is not None else 0.5
+
+
+def run_uniform_panel(system: System, config, data: RatioData | None = None, selected=None,
+                      nfit=None) -> UniformPanel:
     """Run the uniform criteria in fixed order and aggregate a verdict.
 
     Fail witnesses are decisive against uniform exponential stability;
     passes are supporting evidence.  A successful decay fit coexisting with
     a fail witness is a panel inconsistency and yields ``inconclusive``
-    rather than being silently resolved.
+    rather than being silently resolved.  ``nfit`` is the nonuniform
+    panel's decay fit, when it passed.
     """
     from .gauges import make_gauge
     from .growth import estimate_growth
@@ -655,6 +679,12 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
 
     reports = []
     fit = fit_exponential_decay(system, data, config.ncap)
+
+    def expect(partner, time):  # None when no decay fit passed, else the weights batched alongside
+        if fit is None and nfit is None:
+            return None
+        return (shift_weight(fit),) if nfit is not None and time == "continuous" and want(partner) else ()
+
     if want("fit-exp"):
         reports.append(_fit_report(fit, data, config.ncap, echo))
     if want("unif-stab"):
@@ -669,7 +699,7 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
                 reports.append(CriterionReport(cid, INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo))
     for (form, time), cid in _DATKO_IDS.items():
         if want(cid):
-            reports.append(test_datko(system, form, time, gauge, config, fit is not None))
+            reports.append(test_datko(system, form, time, gauge, config, expect(cid + "-nu", time)))
     stab = next((r for r in reports if r.criterion_id == "unif-stab"), None)
     if stab is not None and stab.verdict == PASS:
         hypothesis = "uniform-stability"
@@ -679,7 +709,8 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
         hypothesis = "none"
     for (form, time), cid in _BARBASHIN_IDS.items():
         if want(cid):
-            reports.append(test_barbashin(system, form, time, gauge, config, hypothesis, fit is not None))
+            reports.append(test_barbashin(system, form, time, gauge, config, hypothesis,
+                                          expect("barbashin-nu", time)))
     if want("decay-d"):
         try:
             reports.append(test_discrete_decay(system, env, int_data, config.ncap, echo))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewflow import gallery, uniform
+from skewflow import gallery, nonuniform, uniform
 from skewflow.cli import main
 from skewflow.core import ABSTRACT_REAL, SHIFT_PARAMETER, StatePoint, apply, combine_logs
 from skewflow.errors import BudgetExceeded, NonFinite
@@ -463,17 +463,26 @@ def test_the_declaration_leaves_custom_reports_as_they_were(tmp_path_factory, en
 
 
 # ---------------------------------------------------------------------------
-# batching every integral a criterion expects to read moves no byte
+# batching every integral a criterion expects to read, at its own weight and its partner's, moves no byte
 
 _DATA = Path(__file__).resolve().parent / "data"
 
 
+def _alone(kernel):
+    """``kernel`` with no expectation: each run computes its own weight only, in batches of 1, 2, 4, ..."""
+    return lambda *args, **kwargs: kernel(*args, **dict(kwargs, expect=None))
+
+
 def run_doubling(argv):
-    """The report of ``argv`` with every integral computed in batches of 1, 2, 4, ..., as if no pass were expected."""
-    memoized = uniform._memoized
+    """The report of ``argv`` with every integral computed in batches of 1, 2, 4, ..., as if no pass were expected.
+
+    Neither decay fit sizes a batch, and no batch computes a further weight's
+    integrals: each kernel run computes its own weight's alone.
+    """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(uniform, "_memoized", lambda memo, n, key, compute, expect_pass=False:
-                   memoized(memo, n, key, compute))
+        for name in ("forward_tails", "backward_integrals"):
+            for module in (uniform, nonuniform):
+                mp.setattr(module, name, _alone(getattr(uniform, name)))
         return run(argv)
 
 

@@ -474,6 +474,21 @@ class TestStarvedRuns:
                 assert r["verdict"] == want["verdict"] and _close(r["witness"], want["witness"]), cid
 
 
+class TestLargePowerGauge:
+    """A gauge value beyond float range makes its probes overflow-limited; it never ends the run with exit 2."""
+
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_pow_1e6_gives_a_report(self, name):
+        # the Barbashin bound R(N_cap ||v*||) and the literal thresholds R(t0) once raised OverflowError
+        code, text = run_cli(["classify", "--system", name, "--gauge", "pow:1e6"])
+        doc = json.loads(text)
+        validate(doc)
+        assert code != 2 and "error" not in doc
+        barbashin = _by_id(text)["barbashin-v"]
+        assert (barbashin["verdict"], barbashin["witness"]) == ("inconclusive", None)
+        assert barbashin["evidence"]["band"] == "overflow-limited probe"
+
+
 class TestInconclusiveBands:
     def test_short_horizon_names_the_horizon(self):
         code, text = run_cli(["classify", "--system", "bounded_ratio", "--tmax", "2"])

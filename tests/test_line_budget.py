@@ -2,8 +2,8 @@
 
 from pathlib import Path
 
-# every line of src/skewflow/*.py, empty ones included (``wc -l``), when this guard was set
-LINE_BUDGET = 3402
+# every line of src/skewflow/*.py, empty ones included (``wc -l``), when this guard was last lowered
+LINE_BUDGET = 3399
 
 
 def test_the_source_stays_within_its_line_budget():

@@ -577,13 +577,20 @@ def _axioms(name):
 # integrand array calls of one classify: each is one Simpson level pass, a round of tail
 # blocks or series terms, or a set of discrete adjoint sums.  They fell from 141, 272, 116,
 # 98, 130 and 712 when a criterion whose panel's decay fit passed began to compute every
-# integral it reads in one batch, rather than in batches of 1, 2, 4, ...
-INTEGRAND_CALLS = {"shift-metric-demo": 55, "diag3": 100, "scalar_decay": 52, "bounded_ratio": 98,
-                   "tsint": 53, "spike": 471}
+# integral it reads in one batch, rather than in batches of 1, 2, 4, ...; then from 55, 100,
+# 52, 98, 53 and 471 when a passing fit-exp-nu began to size the uniform criteria's batches
+# too, and a continuous uniform batch to compute its -nu partner's integrals in the same run
+INTEGRAND_CALLS = {"shift-metric-demo": 37, "diag3": 79, "scalar_decay": 33, "bounded_ratio": 98,
+                   "tsint": 37, "spike": 152}
+
+# integrand points of one classify: an integral costs the same points in any batch and at
+# any weight's run, so neither change above moved them (131,300 over the gallery)
+INTEGRAND_POINTS = {"shift-metric-demo": 9072, "diag3": 30929, "scalar_decay": 6258, "bounded_ratio": 9311,
+                    "tsint": 13340, "spike": 62390}
 
 
-@pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
-def test_integrand_calls_of_one_classify(monkeypatch, name):
+def _integrand_calls(monkeypatch, name) -> list:
+    """The number of points of each integrand array call of ``classify --system name``."""
     calls = []
     evaluate = quadrature.evaluate
 
@@ -595,7 +602,76 @@ def test_integrand_calls_of_one_classify(monkeypatch, name):
     monkeypatch.setattr(uniform, "evaluate", counting)
     with redirect_stdout(io.StringIO()):
         main(["classify", "--system", name])
-    assert len(calls) == INTEGRAND_CALLS[name]
+    return calls
+
+
+@pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+def test_integrand_calls_of_one_classify(monkeypatch, name):
+    assert len(_integrand_calls(monkeypatch, name)) == INTEGRAND_CALLS[name]
+
+
+@pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+def test_integrand_points_of_one_classify(monkeypatch, name):
+    assert sum(_integrand_calls(monkeypatch, name)) == INTEGRAND_POINTS[name]
+
+
+def _kernel_run(system, time, config, alpha, expect, form):
+    """The probes of one forward_tails (form "vector" or "operator") or backward_integrals (form None) run."""
+    if form is None:
+        return list(uniform.backward_integrals(system, time, IDENTITY, config, alpha, expect=expect))
+    return list(forward_tails(system, form, time, IDENTITY, config, alpha, expect=expect))
+
+
+class TestPairedWeights:
+    """A batch that also computes its probes at a further weight leaves that weight's run as it would have been.
+
+    The paired run's own probes are the unpaired run's, and the run at the
+    further weight reads every integral from the memo, each the one its own
+    run would have computed, bit for bit (IntegralResult compares its floats).
+    """
+
+    @staticmethod
+    def _runs(monkeypatch, fresh, time, config, form, weight=0.25, before=None):
+        calls = []
+        evaluate = quadrature.evaluate
+        monkeypatch.setattr(quadrature, "evaluate", lambda F, x, k: calls.append(x.size) or evaluate(F, x, k))
+        monkeypatch.setattr(uniform, "evaluate", quadrature.evaluate)
+        paired = fresh()
+        if before is not None:
+            before(paired)
+        own = _kernel_run(paired, time, config, 0.0, (weight,), form)
+        made = len(calls)
+        partner = _kernel_run(paired, time, config, weight, (), form)
+        # every integral of the partner's run came with the paired batches, unless one ran unpaired before
+        assert len(calls) == made or before is not None
+        monkeypatch.undo()
+        alone = fresh()
+        return own, _kernel_run(alone, time, config, 0.0, None, form), partner, \
+            _kernel_run(alone, time, config, weight, None, form)
+
+    @pytest.mark.parametrize("form", ["vector", "operator", None], ids=["tails-v", "tails-op", "adjoint"])
+    @pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+    def test_gallery_systems(self, monkeypatch, systems, config, name, form):
+        own, own_alone, partner, partner_alone = self._runs(
+            monkeypatch, lambda: dataclasses.replace(systems[name]), "continuous", config, form)
+        assert own == own_alone and partner == partner_alone
+
+    @pytest.mark.parametrize("form", ["vector", None], ids=["tails", "adjoint"])
+    @pytest.mark.parametrize("time", ["continuous", "discrete"])
+    @pytest.mark.parametrize("rate, tmax, weight", [(-1.0, 100.0, 0.25), (-1.0, 10.0, 0.25), (0.5, 100.0, 0.25),
+                                                    (-1.0, 20.0, -0.5)])
+    def test_time_invariant_sharing(self, monkeypatch, rate, tmax, weight, time, form):
+        # after one unpaired probe the first tail is in the own memo only.  At tmax 20 the own tail
+        # from t0 = 0 settles too late for t0 = 4, so t0 = 4 is batched; the faster-decaying tail
+        # at weight -0.5 that a run at that weight shares between its t0s still runs from t0 = 0
+        def one_probe(s):
+            cfg = RunConfig(tmax=tmax)
+            run = forward_tails(s, form, time, IDENTITY, cfg) if form else uniform.backward_integrals(s, time, IDENTITY, cfg)
+            next(run)
+
+        own, own_alone, partner, partner_alone = self._runs(
+            monkeypatch, lambda: exponential_system(rate), time, RunConfig(tmax=tmax), form, weight, one_probe)
+        assert own == own_alone and partner == partner_alone
 
 
 class TestStateIndependence:
