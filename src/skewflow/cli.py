@@ -223,7 +223,7 @@ def check_ground_truth(system: System, verdict, cfg: RunConfig) -> list:
         expect = () if by_id["fit-exp"].verdict == PASS else None
         for form, time in (("vector", "continuous"), ("operator", "continuous"),
                            ("vector", "discrete")):
-            r = test_datko(system, form, time, make_gauge("pow:2"), cfg, expect)
+            r = test_datko(system, form, time, make_gauge("pow:2"), cfg, expect=expect)
             if r.verdict != PASS and not starved(r):
                 out.append(f"tag UES but {r.criterion_id} with pow:2 returned {r.verdict}")
     identity = make_gauge("identity")

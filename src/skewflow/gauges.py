@@ -80,7 +80,8 @@ def validate_gauge(g: Gauge, grid) -> GaugeViolation | None:
     try:
         v = g.array(t)
     except OverflowError:  # a power beyond float range is still a gauge value: inf, as g gives on numpy floats
-        v = np.array([g(x) for x in t])
+        with np.errstate(over="ignore"):
+            v = np.array([g(x) for x in t])
     if t[0] == 0.0 and v[0] != 0.0:
         return GaugeViolation("zero-at-zero", 0.0, float(v[0]))
     positivity = (t[1:] > 0.0) & ~(v[1:] > 0.0)

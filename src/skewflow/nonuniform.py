@@ -1,4 +1,5 @@
-"""Nonuniform-setting criteria: s-dependent constants and shifted-weight tests.
+"""Nonuniform-setting criteria: s-dependent constants, the majorant and shifted-weight
+Barbashin tests; the -nu Datko criteria are ``uniform.test_datko`` at a weight alpha > 0.
 
 The nonuniform cap (1e6) is deliberately larger than the uniform one, since
 constants like e^{2 t0} legitimately reach large values at probed starting
@@ -9,12 +10,13 @@ to the uniform one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import System, vec_norm
+from .core import System
 from .errors import DegenerateProbe
 from .gauges import Gauge
 from .probes import Groups, RatioData, ratio_data
@@ -23,6 +25,7 @@ from .reports import (
     FAIL,
     INCONCLUSIVE,
     INCONCLUSIVE_VERDICT,
+    NONUNIFORM_CRITERIA,
     PASS,
     STABLE_ONLY,
     UES,
@@ -35,17 +38,13 @@ from .reports import (
 from .uniform import (
     _DATKO_IDS,
     NU_LADDER,
-    Skipped,
-    UniformPanel,
     adjoint_witness,
     backward_integrals,
-    divergence_witness,
-    forward_tails,
-    gauged,
+    run_rows,
     run_uniform_panel,
     scan,
-    settled_within,
     shift_weight,
+    test_datko,
 )
 
 N_CAP_NONUNIFORM = 1e6
@@ -137,55 +136,6 @@ def test_decaying_majorant(
     )
 
 
-def test_datko_nonuniform(
-    system: System, form: str, time: str, gauge: Gauge, alpha: float, config, expect=None
-) -> CriterionReport:
-    """Shifted-weight forward tail test.
-
-    Computes tails of R(e^{alpha (s - t0)} ||Phi(s,t0,x)v||) per starting
-    time; the per-t0 suprema are recorded as a function of t0.  The
-    operator form compares each tail against R(t0) literally, which is
-    dimensionally odd; its report carries a flag and the panel records it
-    without counting it toward the verdict.
-    """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    cap = min(config.tmax, system.horizons.tail_cap)
-    n_cap = config.ncap_nonuniform
-    echo = {"gauge": gauge.describe(), "alpha": alpha, "t_max": cap, "n_cap": n_cap}
-    literal_threshold = form == "operator"
-    if literal_threshold:
-        echo["flag"] = "literal-threshold R(t0)"
-
-    denom = {id(v): gauge(vec_norm(v, system.norm_choice)) if form == "vector" else 1.0  # by id, as in test_datko
-             for v in system.vector_samples}
-
-    def evidence(s, stop=None):
-        return {"per_t0": sorted(s.per_t0.items()), "divergence": stop is not None, "n_cap": n_cap}
-
-    def end(s, ev):
-        if literal_threshold:  # a threshold beyond float range leaves its t0 overflow-limited
-            threshold = {t0: gauged(gauge, t0) for t0, _ in ev["per_t0"]}
-            bad = [(t0, r) for t0, r in ev["per_t0"]
-                   if threshold[t0] is not None and (r >= threshold[t0] or threshold[t0] == 0.0)]
-            ev["literal_violations"] = bad
-            if bad:
-                return FAIL, ev, witness_dict(t0=bad[0][0], ratio=bad[0][1], threshold=threshold[bad[0][0]])
-            if None in threshold.values():
-                s.skipped = s.skipped or Skipped("overflow")
-        elif s.worst is not None and s.sup > n_cap:
-            (t0, x, v, _), r = s.worst
-            return FAIL, ev, witness_dict(t0=t0, x=x, v=v, ratio=r)
-        if s.skipped is not None:
-            return INCONCLUSIVE, dict(ev, band=s.skipped.band), None
-        return PASS, ev, None
-
-    tails = forward_tails(system, form, time, gauge, config, alpha, first=0, expect=expect)
-    return scan(_DATKO_IDS[(form, time)] + "-nu", settled_within(system, config, tails), echo,
-                t0_at=0, quantity=lambda p: p[3].value / denom[id(p[2])], early_fail=divergence_witness,
-                evidence=evidence, end=end)
-
-
 def test_barbashin_nonuniform(
     system: System, time: str, gauge: Gauge, alpha_or_gamma: float, config, expect=None
 ) -> CriterionReport:
@@ -217,7 +167,7 @@ def test_barbashin_nonuniform(
 
 # criteria counted toward the nonuniform verdict (datko-op-nu is recorded
 # only: its literal threshold is flagged in its report)
-_COUNTED = ("fit-exp-nu", "majorant", "datko-v-nu", "datko-d-nu", "barbashin-nu", "barbashin-d-nu")
+_COUNTED = tuple(cid for cid in NONUNIFORM_CRITERIA if cid != "datko-op-nu")
 
 
 def _fit_nu_report(fit: NonuniformDecayFit | None, cap: float, echo: dict) -> CriterionReport:
@@ -233,9 +183,7 @@ def _fit_nu_report(fit: NonuniformDecayFit | None, cap: float, echo: dict) -> Cr
     )
 
 
-def run_nonuniform_panel(
-    system: System, config, uniform: UniformPanel | None = None, selected=None
-) -> StabilityVerdict:
+def run_nonuniform_panel(system: System, config, selected=None) -> StabilityVerdict:
     """Run both panels and combine them into one classification.
 
     The uniform verdict dominates when it is UES; otherwise a clean
@@ -248,35 +196,24 @@ def run_nonuniform_panel(
     cap = config.ncap_nonuniform
     # fitted first: a passing fit lets the uniform panel compute this panel's integrals with its own
     nfit = fit_nonuniform_decay(system, data, NU_LADDER, cap)
-    if uniform is None:
-        uniform = run_uniform_panel(system, config, data=data, selected=selected, nfit=nfit)
+    uniform = run_uniform_panel(system, config, data=data, selected=selected, nfit=nfit)
     gauge = make_gauge(config.gauge)
     echo = {"gauge": gauge.describe(), "n_cap": cap}
-
-    def want(cid):
-        return selected is None or cid in selected
-
     alpha = shift_weight(uniform.fit)
     expect = () if nfit is not None else None
 
-    reports = []
-    if want("fit-exp-nu"):
-        reports.append(_fit_nu_report(nfit, cap, echo))
-    if want("majorant"):
-        reports.append(test_decaying_majorant(system, data, echo=echo))
-    for (form, time), cid in _DATKO_IDS.items():
-        if want(cid + "-nu"):
-            reports.append(test_datko_nonuniform(system, form, time, gauge, alpha, config, expect))
-    for time, cid in (("continuous", "barbashin-nu"), ("discrete", "barbashin-d-nu")):
-        if want(cid):
-            reports.append(test_barbashin_nonuniform(system, time, gauge, alpha, config, expect))
-
-    all_reports = list(uniform.reports) + reports
+    reports = run_rows([
+        ("fit-exp-nu", lambda: _fit_nu_report(nfit, cap, echo)),
+        ("majorant", lambda: test_decaying_majorant(system, data, echo=echo)),
+        *((cid + "-nu", functools.partial(test_datko, system, form, time, gauge, config, alpha, expect=expect))
+          for (form, time), cid in _DATKO_IDS.items()),
+        *((cid, functools.partial(test_barbashin_nonuniform, system, time, gauge, alpha, config, expect=expect))
+          for time, cid in (("continuous", "barbashin-nu"), ("discrete", "barbashin-d-nu"))),
+    ], selected, echo, list(uniform.reports))
     discrepancies = list(uniform.discrepancies)
 
     if selected is not None:
-        return StabilityVerdict(INCONCLUSIVE_VERDICT, all_reports, discrepancies,
-                                uniform.growth.as_dict())
+        return StabilityVerdict(INCONCLUSIVE_VERDICT, reports, discrepancies, uniform.growth.as_dict())
 
     by_id = {r.criterion_id: r for r in reports}
     counted_fails = [cid for cid in _COUNTED if cid in by_id and by_id[cid].verdict == FAIL]
@@ -286,10 +223,8 @@ def run_nonuniform_panel(
     if uniform.verdict == UES:
         if counted_fails:
             label = INCONCLUSIVE_VERDICT
-            discrepancies.append(
-                "uniform panel certified UES but nonuniform criteria failed: "
-                + ", ".join(counted_fails)
-            )
+            discrepancies.append("uniform panel certified UES but nonuniform criteria failed: "
+                                 + ", ".join(counted_fails))
         else:
             label = UES
     elif nonuniform_ok:
@@ -301,7 +236,7 @@ def run_nonuniform_panel(
         label = STABLE_ONLY if _bins_bounded(data, cap) else UNSTABLE
     else:
         label = INCONCLUSIVE_VERDICT
-    return StabilityVerdict(label, all_reports, discrepancies, uniform.growth.as_dict())
+    return StabilityVerdict(label, reports, discrepancies, uniform.growth.as_dict())
 
 
 def _bins_bounded(data: RatioData, cap: float) -> bool:

@@ -1,4 +1,5 @@
-"""Uniform-setting stability criteria and their panel, with the cap N_cap (default 1e3).
+"""Uniform-setting stability criteria and their panel, with the cap N_cap (default 1e3),
+and the Datko criteria of both settings.
 
 Forward tail integrals that hit the system's tail cap without settling
 are divergence witnesses.
@@ -43,6 +44,7 @@ from .reports import (
     INCONCLUSIVE_VERDICT,
     PASS,
     UES,
+    UNIFORM_CRITERIA,
     UNSTABLE,
     US_NOT_UES,
     CriterionReport,
@@ -524,38 +526,59 @@ def scan(cid, probes, echo, *, t0_at, quantity, early_fail, evidence, end) -> Cr
     return CriterionReport(cid, verdict, ev, witness=w, config_echo=echo)
 
 
-def test_datko(system: System, form: str, time: str, gauge: Gauge, config, expect=None) -> CriterionReport:
-    """Forward tail test: gauged trajectory norms must have bounded tails.
+def test_datko(system: System, form: str, time: str, gauge: Gauge, config, alpha: float = 0.0,
+               expect=None) -> CriterionReport:
+    """Forward tail test: the tails of R(e^{alpha (s - t0)} ||Phi(s,t0,x)v||) from each t0 stay bounded.
 
-    vector: integral (or series) of R(||Phi(s,t0,x)v||) from t0, compared to
-    N_cap * R(||v||).  operator: same with the induced norm, compared to
-    N_cap * R(1).  A tail that fails to settle before the system's tail cap
-    is a divergence witness (see ``settled_within``); a settled tail lands
-    in pass / inconclusive / fail bands at N_cap and 10*N_cap.  ``expect``
-    sizes the batches (see ``forward_tails``).
+    vector: each tail divided by R(||v||); operator: the induced norm.  A
+    tail unsettled at the system's tail cap is a divergence witness (see
+    ``settled_within``).  alpha = 0 gives datko-v, -op and -d, with bands
+    at N_cap and 10*N_cap; alpha > 0 their -nu twins, which fail above the
+    nonuniform cap and record the per-t0 suprema.  datko-op-nu compares
+    each tail against R(t0) literally, which is dimensionally odd: flagged
+    in its report, and not counted by the panel.  The README ("Numerical
+    conventions") lists every constant that differs by setting.
     """
-    n_cap = config.ncap
+    if alpha < 0.0:
+        raise ValueError("alpha must not be negative")
+    nu = alpha > 0.0
+    n_cap = config.ncap_nonuniform if nu else config.ncap
     cap = min(config.tmax, system.horizons.tail_cap)
+    literal = nu and form == "operator"
     # per sample vector, by id: the probes carry the system's own vectors
-    denom = {id(v): gauge(vec_norm(v, system.norm_choice) if form == "vector" else 1.0) for v in system.vector_samples}
+    denom = {id(v): gauge(vec_norm(v, system.norm_choice)) if form == "vector" else 1.0 if nu else gauge(1.0)
+             for v in system.vector_samples}
     if 0.0 in denom.values():
         raise DegenerateProbe("gauge vanished on a unit probe vector")
+    echo = dict({"alpha": alpha} if nu else {"tol": config.tol}, gauge=gauge.describe(), t_max=cap, n_cap=n_cap)
+    if literal:
+        echo["flag"] = "literal-threshold R(t0)"
 
     def evidence(s, stop=None):
-        return {"sup_ratio": stop[1] if stop else s.sup, "n_cap": n_cap, "per_t0": sorted(s.per_t0.items()),
-                "divergence": stop is not None}
+        ev = {"n_cap": n_cap, "per_t0": sorted(s.per_t0.items()), "divergence": stop is not None}
+        return ev if nu else dict(ev, sup_ratio=stop[1] if stop else s.sup)
 
     def end(s, ev):
-        if s.worst is not None and s.sup >= 10.0 * n_cap:
+        if literal:  # a threshold beyond float range leaves its t0 overflow-limited
+            threshold = {t0: gauged(gauge, t0) for t0, _ in ev["per_t0"]}
+            bad = [(t0, r) for t0, r in ev["per_t0"]
+                   if threshold[t0] is not None and (r >= threshold[t0] or threshold[t0] == 0.0)]
+            ev["literal_violations"] = bad
+            if bad:
+                return FAIL, ev, witness_dict(t0=bad[0][0], ratio=bad[0][1], threshold=threshold[bad[0][0]])
+            if None in threshold.values():
+                s.skipped = s.skipped or Skipped("overflow")
+        elif s.worst is not None and (s.sup > n_cap if nu else s.sup >= 10.0 * n_cap):
             (t0, x, v, result), ratio = s.worst
-            return FAIL, ev, witness_dict(t0=t0, x=x, v=v, partial=result.value, ratio=ratio)
-        if s.skipped is not None or s.sup > n_cap:
-            return INCONCLUSIVE, dict(ev, band="ratio above cap" if s.sup > n_cap else s.skipped.band), None
+            w = witness_dict(t0=t0, x=x, v=v, ratio=ratio)
+            return FAIL, ev, w if nu else dict(w, partial=result.value)
+        above = not nu and s.sup > n_cap  # the band between N_cap and 10*N_cap is the uniform setting's
+        if s.skipped is not None or above:
+            return INCONCLUSIVE, dict(ev, band="ratio above cap" if above else s.skipped.band), None
         return PASS, ev, None
 
-    tails = forward_tails(system, form, time, gauge, config, expect=expect)
-    return scan(_DATKO_IDS[(form, time)], settled_within(system, config, tails),
-                {"gauge": gauge.describe(), "t_max": cap, "n_cap": n_cap, "tol": config.tol},
+    tails = forward_tails(system, form, time, gauge, config, alpha, first=0 if nu else 1, expect=expect)
+    return scan(_DATKO_IDS[(form, time)] + ("-nu" if nu else ""), settled_within(system, config, tails), echo,
                 t0_at=0, quantity=lambda p: p[3].value / denom[id(p[2])], early_fail=divergence_witness,
                 evidence=evidence, end=end)
 
@@ -632,11 +655,23 @@ class UniformPanel:
 
 
 # criteria whose fail witness rules out UES; a UES tag requires each to pass
-UES_CRITERIA = (
-    "fit-exp", "minorant", "half-decay", "half-decay-d",
-    "datko-v", "datko-op", "datko-d",
-    "barbashin-v", "barbashin-op", "barbashin-d", "decay-d",
-)
+UES_CRITERIA = tuple(cid for cid in UNIFORM_CRITERIA if cid != "unif-stab")
+
+
+def run_rows(rows, selected, echo: dict, reports: list) -> list:
+    """Append to ``reports`` the report of each row (criterion id, thunk) that ``selected`` names, in row order.
+
+    ``selected`` None names every row.  A thunk may read the reports made
+    before it.  A criterion whose hypothesis, a verified growth envelope,
+    is missing reports inconclusive with the reason.
+    """
+    for cid, report in rows:
+        if selected is None or cid in selected:
+            try:
+                reports.append(report())
+            except MissingGrowthEnvelope as exc:
+                reports.append(CriterionReport(cid, INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo))
+    return reports
 
 
 def _fit_report(fit: DecayFit | None, data: RatioData, n_cap: float, echo: dict) -> CriterionReport:
@@ -674,48 +709,32 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
                           data=ratio_data(system, lag_max=config.grid_h, within=data))
     echo = {"gauge": gauge.describe(), "n_cap": config.ncap, "grid_h": config.grid_h}
 
-    def want(cid):
-        return selected is None or cid in selected
-
     reports = []
     fit = fit_exponential_decay(system, data, config.ncap)
 
     def expect(partner, time):  # None when no decay fit passed, else the weights batched alongside
         if fit is None and nfit is None:
             return None
-        return (shift_weight(fit),) if nfit is not None and time == "continuous" and want(partner) else ()
+        return (shift_weight(fit),) if nfit is not None and time == "continuous" and (
+            selected is None or partner in selected) else ()
 
-    if want("fit-exp"):
-        reports.append(_fit_report(fit, data, config.ncap, echo))
-    if want("unif-stab"):
-        reports.append(test_uniform_stability(system, data, config.ncap, echo))
-    if want("minorant"):
-        reports.append(test_divergent_minorant(system, data, echo=echo))
-    for cid, mode in (("half-decay", "continuous"), ("half-decay-d", "discrete")):
-        if want(cid):
-            try:
-                reports.append(test_half_decay(system, env, mode, config.delta_max, echo))
-            except MissingGrowthEnvelope as exc:
-                reports.append(CriterionReport(cid, INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo))
-    for (form, time), cid in _DATKO_IDS.items():
-        if want(cid):
-            reports.append(test_datko(system, form, time, gauge, config, expect(cid + "-nu", time)))
-    stab = next((r for r in reports if r.criterion_id == "unif-stab"), None)
-    if stab is not None and stab.verdict == PASS:
-        hypothesis = "uniform-stability"
-    elif not env.dubious:
-        hypothesis = "uniform-growth"
-    else:
-        hypothesis = "none"
-    for (form, time), cid in _BARBASHIN_IDS.items():
-        if want(cid):
-            reports.append(test_barbashin(system, form, time, gauge, config, hypothesis,
-                                          expect("barbashin-nu", time)))
-    if want("decay-d"):
-        try:
-            reports.append(test_discrete_decay(system, env, int_data, config.ncap, echo))
-        except MissingGrowthEnvelope as exc:
-            reports.append(CriterionReport("decay-d", INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo))
+    def barbashin(form, time):  # records the hypothesis established before it ran
+        stab = next((r for r in reports if r.criterion_id == "unif-stab"), None)
+        hypothesis = ("uniform-stability" if stab is not None and stab.verdict == PASS
+                      else "uniform-growth" if not env.dubious else "none")
+        return test_barbashin(system, form, time, gauge, config, hypothesis, expect=expect("barbashin-nu", time))
+
+    run_rows([
+        ("fit-exp", lambda: _fit_report(fit, data, config.ncap, echo)),
+        ("unif-stab", lambda: test_uniform_stability(system, data, config.ncap, echo)),
+        ("minorant", lambda: test_divergent_minorant(system, data, echo=echo)),
+        ("half-decay", lambda: test_half_decay(system, env, "continuous", config.delta_max, echo)),
+        ("half-decay-d", lambda: test_half_decay(system, env, "discrete", config.delta_max, echo)),
+        *((cid, functools.partial(test_datko, system, form, time, gauge, config, expect=expect(cid + "-nu", time)))
+          for (form, time), cid in _DATKO_IDS.items()),
+        *((cid, functools.partial(barbashin, form, time)) for (form, time), cid in _BARBASHIN_IDS.items()),
+        ("decay-d", lambda: test_discrete_decay(system, env, int_data, config.ncap, echo)),
+    ], selected, echo, reports)
 
     by_id = {r.criterion_id: r for r in reports}
     discrepancies = []
@@ -730,9 +749,7 @@ def run_uniform_panel(system: System, config, data: RatioData | None = None, sel
         verdict = UES
     elif fit_ok:
         verdict = INCONCLUSIVE_VERDICT
-        discrepancies.append(
-            "decay fit succeeded but criteria failed with witnesses: " + ", ".join(fails)
-        )
+        discrepancies.append("decay fit succeeded but criteria failed with witnesses: " + ", ".join(fails))
     elif fails:
         verdict = US_NOT_UES if stab_ok else UNSTABLE
     elif stab_ok:

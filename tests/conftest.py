@@ -156,8 +156,5 @@ def uniform_panels(systems, ratio_cache, config):
 
 
 @pytest.fixture(scope="session")
-def classifications(systems, uniform_panels, config):
-    return {
-        name: run_nonuniform_panel(s, config, uniform=uniform_panels[name])
-        for name, s in systems.items()
-    }
+def classifications(systems, config):
+    return {name: run_nonuniform_panel(s, config) for name, s in systems.items()}

@@ -480,9 +480,9 @@ def run_doubling(argv):
     integrals: each kernel run computes its own weight's alone.
     """
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("forward_tails", "backward_integrals"):
-            for module in (uniform, nonuniform):
-                mp.setattr(module, name, _alone(getattr(uniform, name)))
+        for module, name in ((uniform, "forward_tails"), (uniform, "backward_integrals"),
+                             (nonuniform, "backward_integrals")):
+            mp.setattr(module, name, _alone(getattr(uniform, name)))
         return run(argv)
 
 

@@ -474,8 +474,9 @@ class TestStarvedRuns:
                 assert r["verdict"] == want["verdict"] and _close(r["witness"], want["witness"]), cid
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLargePowerGauge:
-    """A gauge value beyond float range makes its probes overflow-limited; it never ends the run with exit 2."""
+    """A gauge value beyond float range makes its probes overflow-limited; it never ends the run with exit 2 or warns."""
 
     @pytest.mark.parametrize("name", GALLERY_NAMES)
     def test_pow_1e6_gives_a_report(self, name):

@@ -4,17 +4,17 @@ import math
 
 import pytest
 
-from skewflow import RunConfig
+from skewflow import RunConfig, nonuniform, uniform
 from skewflow.gauges import make_gauge
 from skewflow.nonuniform import (
     fit_nonuniform_decay,
     run_nonuniform_panel,
     test_barbashin_nonuniform as barbashin_nu_check,
-    test_datko_nonuniform as datko_nu_check,
     test_decaying_majorant as majorant_check,
 )
 from skewflow.probes import ratio_data
-from skewflow.reports import FAIL, INCONCLUSIVE, PASS
+from skewflow.reports import FAIL, INCONCLUSIVE, NONUNIFORM_CRITERIA, PASS, UNIFORM_CRITERIA, CriterionReport
+from skewflow.uniform import test_datko as datko_check
 
 from conftest import exponential_system, log_vector_norm, shift_cocycle
 
@@ -85,44 +85,43 @@ class TestMajorant:
 
 class TestDatkoNonuniform:
     def test_tsint_passes_with_per_t0_constants(self, systems, config):
-        r = datko_nu_check(systems["tsint"], "vector", "continuous", IDENTITY, 0.25, config)
+        r = datko_check(systems["tsint"], "vector", "continuous", IDENTITY, config, 0.25)
         assert r.verdict == PASS
         per_t0 = dict(r.evidence["per_t0"])
         assert all(v <= 1e6 for v in per_t0.values())
 
     def test_spike_passes(self, systems, config):
-        r = datko_nu_check(systems["spike"], "vector", "continuous", IDENTITY, 0.5, config)
+        r = datko_check(systems["spike"], "vector", "continuous", IDENTITY, config, 0.5)
         assert r.verdict == PASS
         per_t0 = dict(r.evidence["per_t0"])
         # constants grow with t0 (nonuniformity) and are not required bounded
         assert per_t0[6.0] > per_t0[0.0]
 
     def test_bounded_ratio_diverges(self, systems, config):
-        r = datko_nu_check(systems["bounded_ratio"], "vector", "continuous", IDENTITY, 0.5, config)
+        r = datko_check(systems["bounded_ratio"], "vector", "continuous", IDENTITY, config, 0.5)
         assert r.verdict == FAIL
         assert r.witness["converged"] is False
 
     def test_discrete_form(self, systems, config):
-        r = datko_nu_check(systems["spike"], "vector", "discrete", IDENTITY, 0.5, config)
+        r = datko_check(systems["spike"], "vector", "discrete", IDENTITY, config, 0.5)
         assert r.verdict == PASS
 
     def test_operator_form_flagged_literal(self, systems, config):
-        r = datko_nu_check(systems["spike"], "operator", "continuous", IDENTITY, 0.5, config)
+        r = datko_check(systems["spike"], "operator", "continuous", IDENTITY, config, 0.5)
         assert "literal-threshold" in r.config_echo["flag"]
         assert "literal_violations" in r.evidence
 
     def test_operator_form_inconclusive_when_tails_skipped(self, systems):
         # with a horizon of 2 no tail is computed: an empty table is no pass
-        r = datko_nu_check(
-            systems["bounded_ratio"], "operator", "continuous", IDENTITY, 0.5, RunConfig(tmax=2.0)
-        )
+        r = datko_check(systems["bounded_ratio"], "operator", "continuous", IDENTITY, RunConfig(tmax=2.0), 0.5)
         assert r.verdict == INCONCLUSIVE
         assert r.evidence["per_t0"] == []
         assert r.evidence["band"] == "horizon-limited probe"
 
     def test_alpha_must_be_positive(self, systems, config):
+        # a nonuniform weight: alpha = 0 is the uniform setting's datko-v
         with pytest.raises(ValueError):
-            datko_nu_check(systems["spike"], "vector", "continuous", IDENTITY, 0.0, config)
+            datko_check(systems["spike"], "vector", "continuous", IDENTITY, config, -0.5)
 
 
 class TestBarbashinNonuniform:
@@ -151,7 +150,7 @@ class TestShiftedEquivalence:
         # system has per-t0 bounded trajectory norms
         alpha = 0.5
         s = systems[name]
-        r = datko_nu_check(s, "vector", "continuous", IDENTITY, alpha, config)
+        r = datko_check(s, "vector", "continuous", IDENTITY, config, alpha)
         shifted = shift_cocycle(s, -alpha)
         data = ratio_data(shifted)
         bins = {}
@@ -208,3 +207,54 @@ class TestCombinedPanel:
         from skewflow.reports import NONUNIFORM_CRITERIA, UNIFORM_CRITERIA
         ids = [r.criterion_id for r in classifications["spike"].criteria]
         assert ids == list(UNIFORM_CRITERIA) + list(NONUNIFORM_CRITERIA)
+
+
+# (criteria that do not pass, the system's rate, uniform verdict, combined label, discrepancies)
+_LABEL_RULES = [
+    ({}, -1.0, "UES", "UES", []),
+    ({"datko-op-nu": FAIL}, -1.0, "UES", "UES", []),  # recorded, not counted
+    ({"datko-v-nu": FAIL, "barbashin-d-nu": FAIL}, -1.0, "UES", "inconclusive",
+     ["uniform panel certified UES but nonuniform criteria failed: datko-v-nu, barbashin-d-nu"]),
+    ({"datko-v": FAIL, "decay-d": FAIL, "fit-exp-nu": INCONCLUSIVE}, -1.0, "inconclusive", "inconclusive",
+     ["decay fit succeeded but criteria failed with witnesses: datko-v, decay-d"]),
+    ({"fit-exp": INCONCLUSIVE, "fit-exp-nu": INCONCLUSIVE}, -1.0, "inconclusive", "inconclusive",
+     ["no criterion failed but no decay fit was found"]),
+    ({"fit-exp": INCONCLUSIVE, "datko-v": FAIL}, -1.0, "US-not-UES", "ES-not-UES", []),
+    ({"fit-exp": INCONCLUSIVE, "datko-v": FAIL, "majorant": FAIL}, -1.0, "US-not-UES", "US-not-UES", []),
+    ({"fit-exp": INCONCLUSIVE, "unif-stab": FAIL, "minorant": FAIL, "fit-exp-nu": INCONCLUSIVE}, -1.0,
+     "unstable", "stable-only", []),
+    ({"fit-exp": INCONCLUSIVE, "unif-stab": FAIL, "fit-exp-nu": INCONCLUSIVE}, 1.0, "unstable", "unstable", []),
+]
+
+
+class TestLabelRules:
+    """Every outcome of the uniform verdict and of the combined label, from hand-built reports.
+
+    Both panels' row runners are replaced by one that reports each row as
+    the case says, pass unless it is named, so the rules read exactly those
+    reports.  Only stable-only against unstable reads the system: a
+    decaying one has bounded s-bins, a growing one does not.
+    """
+
+    def test_the_cases_reach_every_outcome(self):
+        assert {case[2] for case in _LABEL_RULES} == {"UES", "US-not-UES", "unstable", "inconclusive"}
+        assert {case[3] for case in _LABEL_RULES} == {
+            "UES", "US-not-UES", "ES-not-UES", "stable-only", "unstable", "inconclusive"}
+
+    @pytest.mark.parametrize("verdicts, rate, uniform_verdict, label, discrepancies", _LABEL_RULES)
+    def test_label(self, monkeypatch, config, verdicts, rate, uniform_verdict, label, discrepancies):
+        def hand_built(rows, selected, echo, reports):
+            for cid, _ in rows:
+                v = verdicts.get(cid, PASS)
+                reports.append(CriterionReport(cid, v, witness={"hand-built": True} if v == FAIL else None))
+            return reports
+
+        panels = []
+        run_uniform_panel = uniform.run_uniform_panel
+        monkeypatch.setattr(uniform, "run_rows", hand_built)
+        monkeypatch.setattr(nonuniform, "run_rows", hand_built)
+        monkeypatch.setattr(nonuniform, "run_uniform_panel", lambda *a, **k: panels.append(
+            run_uniform_panel(*a, **k)) or panels[-1])
+        v = run_nonuniform_panel(exponential_system(rate), config)
+        assert [r.criterion_id for r in v.criteria] == list(UNIFORM_CRITERIA) + list(NONUNIFORM_CRITERIA)
+        assert (panels[0].verdict, v.label, v.discrepancies) == (uniform_verdict, label, discrepancies)

@@ -14,7 +14,6 @@ from skewflow.cli import main
 from skewflow.errors import BudgetExceeded, MissingGrowthEnvelope, NonFinite
 from skewflow.gauges import make_gauge
 from skewflow.growth import estimate_growth
-from skewflow.nonuniform import test_datko_nonuniform as datko_nonuniform_check
 from skewflow.probes import discrete_pairs, ratio_data
 from skewflow.quadrature import IntegralResult
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
@@ -219,7 +218,7 @@ class TestDatko:
             cfg = RunConfig(tol=tol)
             verdicts.append((
                 datko_check(s, form, time, IDENTITY, cfg).verdict,
-                datko_nonuniform_check(s, form, time, IDENTITY, 1.0, cfg).verdict,
+                datko_check(s, form, time, IDENTITY, cfg, 1.0).verdict,
             ))
         assert verdicts[0][0] == PASS
         for before, after in zip(verdicts, verdicts[1:]):
