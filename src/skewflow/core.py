@@ -8,10 +8,10 @@ two-time-parameter families defined for ``t >= s >= 0`` and satisfy
     phi(t, s, phi(s, t0, x)) = phi(t, t0, x)
     Phi(t, s, phi(s, t0, x)) Phi(s, t0, x) = Phi(t, t0, x)
 
-A cocycle is diagonal and provides ``log_diag(t, s, x)``, the logs of its
-entry magnitudes.  Trajectory norms are computed from those logs on one
-array path; the README ("Numerical conventions") gives its rules: array
-forms (``array_form``), ``math`` element by element, ``OverflowError``.
+A cocycle is diagonal: ``log_diag(t, s, x)`` gives the logs of its entry
+magnitudes, and one rule serves a batch (``log_diags``): ``log_diag_array``
+when the cocycle has it, else ``log_diag`` mapped over the elements.  The
+README ("Numerical conventions") gives the rest of the log-space rules.
 """
 
 from __future__ import annotations
@@ -54,14 +54,6 @@ def apply(f, a: np.ndarray) -> np.ndarray:
     # converted to Python floats 1024 at a time, so no long list of them is ever held
     values = itertools.chain.from_iterable(flat[i:i + 1024].tolist() for i in range(0, flat.size, 1024))
     return np.fromiter(map(f, values), float, flat.size).reshape(a.shape)
-
-
-def array_form(scalar):
-    """Mark a method as the array form of the cocycle's ``log_diag``, ``scalar`` (see ``log_diags``)."""
-    def mark(f):
-        f.mirrors = scalar
-        return f
-    return mark
 
 
 @dataclass(frozen=True)
@@ -146,9 +138,10 @@ class System:
     The "for all x, v" quantifiers of the flow laws are discharged over
     ``state_samples`` and ``vector_samples``; these finite sets are part of
     the system's contract.  ``vector_samples`` must be unit vectors in
-    ``norm_choice``; ``dual_samples`` unit in the dual norm.  The cocycle
-    is any object with a ``log_diag(t, s, x)`` method returning the logs of
-    its diagonal entries' magnitudes.  ``time_invariant`` (t and s read only
+    ``norm_choice``; ``dual_samples`` unit in the dual norm.  The semiflow
+    also moves arrays (``move``); the cocycle has ``log_diag(t, s, x)``, the
+    logs of its diagonal entries' magnitudes, and may add ``log_diag_array``
+    for batches (``log_diags``).  ``time_invariant`` (t and s read only
     through t - s) and ``state_independent`` (x not read) let the integral
     criteria share integrals (README); ``axioms`` checks both.  ``memo``
     holds the integral results computed for this system; a copy made with
@@ -187,24 +180,19 @@ class System:
 
 
 def evolve(system: System, t: np.ndarray, s: np.ndarray, x: States) -> States:
-    """phi(t_i, s_i, x_i) for every element, by the semiflow's array form ``move`` when it has one."""
+    """phi(t_i, s_i, x_i) for every element, by the semiflow's array form ``move``."""
     check_time_pairs(t, s)
-    if hasattr(system.semiflow, "move"):
-        return States(system.semiflow.move(t, s, x.value, x.real), x.real)
-    return States.of(list(map(system.semiflow, t.tolist(), s.tolist(), x.points())))
+    return States(system.semiflow.move(t, s, x.value, x.real), x.real)
 
 
 def log_diags(system: System, t: np.ndarray, s: np.ndarray, x: States) -> np.ndarray:
     """The (d, n) array of log_diag(t_i, s_i, x_i).
 
-    A cocycle's ``log_diag_array(t, s, values)``, marked by ``array_form``,
-    serves while its class's ``log_diag`` is the one it was marked with;
-    otherwise (no array form, or ``log_diag`` replaced since) ``log_diag`` is
-    mapped over the elements.
+    A cocycle with ``log_diag_array(t, s, values)`` is served by it; any
+    other has its ``log_diag`` mapped over the elements.
     """
-    many = getattr(system.cocycle, "log_diag_array", None)
-    if getattr(many, "mirrors", None) is getattr(type(system.cocycle), "log_diag", False):
-        return many(t, s, x.value)
+    if hasattr(system.cocycle, "log_diag_array"):
+        return system.cocycle.log_diag_array(t, s, x.value)
     rows = list(map(system.cocycle.log_diag, t.tolist(), s.tolist(), x.points()))
     return np.array(rows, dtype=float).reshape(len(rows), system.dimension).T
 

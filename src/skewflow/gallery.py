@@ -1,9 +1,9 @@
 """Built-in example systems with known classifications: the six of the README's gallery table.
 
 Base-function choices are overridable defaults satisfying each family's
-shape constraints.  Each cocycle's ``log_diag_array`` is the array form of
-its ``log_diag``, bit-identical on every element: transcendental functions
-run on ``math``, element by element.
+shape constraints.  Each cocycle's ``log_diag_array`` serves every batch
+(``core.log_diags``) and ``log_diag`` one point, bit-identical on every
+element: transcendental functions run on ``math``, element by element.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .core import (
     StatePoint,
     System,
     apply,
-    array_form,
 )
 from .errors import InvalidParams
 
@@ -85,7 +84,6 @@ class HumpIntegralCocycle:
         i = self.base_integral(x.value, t - s)
         return [c * i for c in self.coeffs]
 
-    @array_form(log_diag)
     def log_diag_array(self, t, s, theta):
         h = t - s
         i = np.where(np.isinf(theta), self.l * h,
@@ -110,7 +108,6 @@ class DecayingShiftCocycle:
             return [-self.mu * h]
         return [-self.mu * h + math.log1p(theta + h) - math.log1p(theta)]
 
-    @array_form(log_diag)
     def log_diag_array(self, t, s, theta):
         h = t - s
         inf = np.isinf(theta)
@@ -132,7 +129,6 @@ class BoundedRatioCocycle:
         u = x.value
         return [self._log_f(u) - self._log_f(u + (t - s))]
 
-    @array_form(log_diag)
     def log_diag_array(self, t, s, theta):
         return (self._log_f(theta, apply) - self._log_f(theta + (t - s), apply))[None]
 
@@ -143,7 +139,6 @@ class OscillatingDecayCocycle:
     def log_diag(self, t, s, x):
         return [t * math.sin(t) - s * math.sin(s) - 2.0 * (t - s)]
 
-    @array_form(log_diag)
     def log_diag_array(self, t, s, theta):
         return (t * apply(math.sin, t) - s * apply(math.sin, s) - 2.0 * (t - s))[None]
 
@@ -196,7 +191,6 @@ class SpikeCocycle:
                 2.0 * (n + 1) * d))
         return out
 
-    @array_form(log_diag)
     def log_diag_array(self, t, s, theta):
         f_s, f_t = self._log_f_array(np.concatenate([s, t])).reshape(2, -1)
         return (f_s - f_t - (t - s))[None]
@@ -244,7 +238,6 @@ class DeclarativeCocycle:
             out.append(g)
         return out
 
-    @array_form(log_diag)
     def log_diag_array(self, t, s, theta):
         out = []
         for terms, scale in zip(self.entries, self.scales):
@@ -333,17 +326,13 @@ def _build_hump(name, coeffs, l):
 
 def _build_scalar_decay(params):
     mu = params["mu"]
-    thetas = params.get("thetas", (0.0, 1.0, 2.5))
-    # the base translate at shift theta starts at f(theta) = 1/(1+theta)
-    for theta in thetas:
-        if not mu > 1.0 / (1.0 + theta):
-            raise InvalidParams(
-                f"mu={mu} must exceed the state's initial value {1.0 / (1.0 + theta)}"
-            )
+    # the base translate at shift theta starts at f(theta) = 1/(1+theta), largest at theta = 0
+    if not mu > 1.0:
+        raise InvalidParams(f"mu={mu} must exceed the state's initial value 1.0")
     return _system(
         "scalar_decay",
         DecayingShiftCocycle(mu),
-        _shift_states(tuple(float(t) for t in thetas)),
+        _shift_states((0.0, 1.0, 2.5)),
         "UES",
         time_invariant=True,
     )
@@ -404,9 +393,13 @@ _BUILDERS = {
 
 
 def build(name: str, params: dict | None = None) -> System:
-    """Build a gallery system by name with optional parameter overrides."""
+    """Build a gallery system by name with optional overrides of its own parameters (``DEFAULTS``)."""
     if name not in _BUILDERS:
         raise InvalidParams(f"unknown gallery system {name!r}; choose from {GALLERY_NAMES}")
+    unknown = sorted(set(params or {}) - set(DEFAULTS[name]))
+    if unknown:
+        raise InvalidParams(f"{name} has no parameter {', '.join(unknown)}; it takes "
+                            f"{', '.join(DEFAULTS[name]) or 'none'}")
     merged = {**DEFAULTS[name], **(params or {})}
     for key in DEFAULTS[name]:
         merged[key] = _as_float(merged, key)

@@ -54,6 +54,21 @@ class TestAxioms:
         assert code == 2
         assert "InvalidParams" in json.loads(text)["error"]
 
+    @pytest.mark.parametrize("argv, error", [
+        (["classify", "--system", "scalar_decay", "--param", "muu=0.1"],
+         "InvalidParams: scalar_decay has no parameter muu; it takes mu"),
+        (["sweep", "--system", "diag3", "--sweep", "alphaX=1,2"],
+         "InvalidParams: diag3 has no parameter alphaX; it takes alpha1, alpha2, alpha3, l"),
+        (["classify", "--system", "tsint", "--param", "mu=1"],
+         "InvalidParams: tsint has no parameter mu; it takes none"),
+    ])
+    def test_a_parameter_the_system_does_not_read_exits_2(self, argv, error):
+        code, text = run_cli(argv)
+        doc = json.loads(text)
+        validate(doc)
+        assert code == 2
+        assert doc["error"] == error
+
     def test_time_order_injection_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"system": "scalar_decay", "probes": [[1.0, 2.0, 0.0]]}))

@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from skewflow import RunConfig, gallery, quadrature, uniform
+from skewflow import RunConfig, cli, gallery, nonuniform, quadrature, uniform
 from skewflow.cli import main
 from skewflow.errors import BudgetExceeded, MissingGrowthEnvelope, NonFinite
 from skewflow.gauges import make_gauge
@@ -446,13 +446,13 @@ class TestIntegralMemo:
 
     def test_memo_does_not_outlive_its_system(self, monkeypatch):
         calls = [0]
-        log_diag = gallery.SpikeCocycle.log_diag
+        log_diag_array = gallery.SpikeCocycle.log_diag_array
 
-        def counting(self, t, s, x):
+        def counting(self, t, s, theta):
             calls[0] += 1
-            return log_diag(self, t, s, x)
+            return log_diag_array(self, t, s, theta)
 
-        monkeypatch.setattr(gallery.SpikeCocycle, "log_diag", counting)
+        monkeypatch.setattr(gallery.SpikeCocycle, "log_diag_array", counting)
         counts = []
         for _ in range(2):
             calls[0] = 0
@@ -589,16 +589,30 @@ INTEGRAND_POINTS = {"shift-metric-demo": 9072, "diag3": 30929, "scalar_decay": 6
 
 
 def _integrand_calls(monkeypatch, name) -> list:
-    """The number of points of each integrand array call of ``classify --system name``."""
-    calls = []
-    evaluate = quadrature.evaluate
+    """(charged to, points) of each integrand array call of ``classify --system name``: charged to the panel
+    row (its criterion id) whose thunk ``run_rows`` runs, or to ``pow:2``, the ground-truth check's re-runs."""
+    calls, running = [], [None]
+    evaluate, run_rows, check = quadrature.evaluate, uniform.run_rows, cli.check_ground_truth
 
     def counting(F, x, k):
-        calls.append(x.size)
+        calls.append((running[0], x.size))
         return evaluate(F, x, k)
+
+    def charged(label, run):
+        def call(*args):
+            running[0] = label
+            try:
+                return run(*args)
+            finally:
+                running[0] = None
+        return call
 
     monkeypatch.setattr(quadrature, "evaluate", counting)
     monkeypatch.setattr(uniform, "evaluate", counting)
+    for module in (uniform, nonuniform):
+        monkeypatch.setattr(module, "run_rows",
+                            lambda rows, *a: run_rows([(cid, charged(cid, r)) for cid, r in rows], *a))
+    monkeypatch.setattr(cli, "check_ground_truth", charged("pow:2", check))
     with redirect_stdout(io.StringIO()):
         main(["classify", "--system", name])
     return calls
@@ -611,7 +625,39 @@ def test_integrand_calls_of_one_classify(monkeypatch, name):
 
 @pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
 def test_integrand_points_of_one_classify(monkeypatch, name):
-    assert sum(_integrand_calls(monkeypatch, name)) == INTEGRAND_POINTS[name]
+    assert sum(points for _, points in _integrand_calls(monkeypatch, name)) == INTEGRAND_POINTS[name]
+
+
+# integrand points of one classify by criterion; a criterion missing from a table costs none.  A
+# continuous uniform row whose batch is paired with its -nu twin's weight computes the twin's
+# integrals in the same run and is charged for them, so on a system whose fit-exp-nu passed the
+# twin finds them in the memo and reads 0.  datko-op and barbashin-op read 0 where their integrals
+# are datko-v's and barbashin-v's.  pow:2 is the ground-truth check of a UES tag; the identity
+# datko-v re-run for a US-not-UES or ES-not-UES tag finds the panel's integrals in the memo
+INTEGRAND_POINTS_BY_CRITERION = {
+    "shift-metric-demo": {"datko-v": 2824, "datko-d": 64, "barbashin-v": 3492, "barbashin-d": 552,
+                          "datko-d-nu": 192, "barbashin-d-nu": 552, "pow:2": 1396},
+    "diag3": {"datko-v": 8861, "datko-op": 2824, "datko-d": 192, "barbashin-v": 10476, "barbashin-d": 552,
+              "datko-d-nu": 544, "barbashin-d-nu": 1656, "pow:2": 5824},
+    "scalar_decay": {"datko-v": 1752, "datko-d": 48, "barbashin-v": 2610, "barbashin-d": 414,
+                     "datko-d-nu": 48, "barbashin-d-nu": 414, "pow:2": 972},
+    "bounded_ratio": {"datko-v": 700, "datko-d": 100, "barbashin-v": 771, "barbashin-d": 414,
+                      "datko-v-nu": 3364, "datko-d-nu": 100, "barbashin-nu": 3448, "barbashin-d-nu": 414},
+    "tsint": {"datko-v": 7536, "datko-d": 80, "barbashin-v": 5414, "barbashin-d": 115,
+              "datko-d-nu": 80, "barbashin-d-nu": 115},
+    "spike": {"datko-v": 41216, "datko-d": 112, "barbashin-v": 20628, "barbashin-d": 161,
+              "datko-d-nu": 112, "barbashin-d-nu": 161},
+}
+
+
+@pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+def test_integrand_points_per_criterion(monkeypatch, name):
+    table = INTEGRAND_POINTS_BY_CRITERION[name]
+    assert sum(table.values()) == INTEGRAND_POINTS[name]
+    charged = {}
+    for label, points in _integrand_calls(monkeypatch, name):
+        charged[label] = charged.get(label, 0) + points
+    assert charged == table
 
 
 def _kernel_run(system, time, config, alpha, expect, form):
