@@ -9,8 +9,7 @@ quick start.  Everything else lives in its module (``skewflow.core``,
 from . import gallery
 from .config import RunConfig
 from .nonuniform import run_nonuniform_panel
-from .uniform import run_uniform_panel
 
 __version__ = "0.1.0"
 
-__all__ = ["RunConfig", "gallery", "run_nonuniform_panel", "run_uniform_panel"]
+__all__ = ["RunConfig", "gallery", "run_nonuniform_panel"]

@@ -4,7 +4,7 @@ Commands:
   gallery list        built-in systems with defaults and tags
   axioms              flow-law checks on seeded probes
   growth              growth-envelope estimation (uniform and binned)
-  classify            full criterion panels and classification
+  classify            the criterion panel and classification
   sweep               parameter sweep, one CSV row per combination
 
 Exit codes: 0 definite verdict, 1 inconclusive, 2 usage/config error,
@@ -30,13 +30,13 @@ from datetime import datetime, timezone
 from . import gallery
 from .config import ConfigError, RunConfig, load_config_file, merge_config
 from .core import System, check_cocycle_law, check_declarations, check_semiflow_law
-from .errors import TimeOrderViolation
+from .errors import InvalidParams, TimeOrderViolation
 from .gauges import make_gauge
 from .growth import estimate_growth, verify_growth
-from .nonuniform import run_nonuniform_panel
+from .nonuniform import UES_CRITERIA, run_nonuniform_panel
 from .probes import law_probes, ratio_data
 from .reports import FAIL, INCONCLUSIVE, PASS, TAG_COMPATIBLE, UES
-from .uniform import UES_CRITERIA, Skipped, test_datko
+from .uniform import Skipped, test_datko
 
 SCHEMA_VERSION = "1"
 
@@ -109,11 +109,14 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _build_system(cfg: RunConfig, params: dict | None = None) -> System:
+    params = cfg.params if params is None else params
     if cfg.custom_system is not None:
+        if params:  # as gallery.build rejects a name its system does not read
+            raise InvalidParams(f"a custom system has no parameter {', '.join(sorted(params))}; it takes none")
         return gallery.build_custom(cfg.custom_system)
     if not cfg.system:
         raise ConfigError("no system selected (use --system or a config file)")
-    return gallery.build(cfg.system, cfg.params if params is None else params)
+    return gallery.build(cfg.system, params)
 
 
 def _write(text: str, out_path: str | None) -> None:

@@ -1,4 +1,4 @@
-"""Run configuration shared by the CLI and the panels."""
+"""Run configuration shared by the CLI and the panel."""
 
 from __future__ import annotations
 

@@ -51,7 +51,8 @@ class Gauge:
         if self.kind == "power":
             return np.fromiter(map(pow, t.tolist(), [self.p] * t.size), float, t.size)
         if self.kind == "saturating":
-            return t / (self.c + t)
+            with np.errstate(invalid="ignore"):  # inf / inf is nan, as with Python floats, and no warning
+                return t / (self.c + t)
         xs, ys = self.nodes
         return np.interp(t, xs, ys)
 

@@ -181,7 +181,7 @@ def ratio_data(
     step = max(1, 2048 // offs.size)
     ln = np.concatenate([_log_norms(system, rs[j:j + step, None] + offs, rt0[j:j + step], rxi[j:j + step],
                                     rvi[j:j + step]) for j in range(0, rs.size, step)])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, a finite difference may overflow to inf
         ratios = ln[:, 1:] - ln[:, :1]
     ok = ln[:, 0] != -np.inf
     lag = np.tile(lags, ok.sum())

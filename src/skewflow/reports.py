@@ -1,4 +1,4 @@
-"""Report types produced by the criterion panels."""
+"""Report types produced by the criterion panel."""
 
 from __future__ import annotations
 

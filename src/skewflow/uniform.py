@@ -1,5 +1,5 @@
-"""Uniform-setting stability criteria and their panel, with the cap N_cap (default 1e3),
-and the Datko criteria of both settings.
+"""Uniform-setting stability criteria, with the cap N_cap (default 1e3), and the decay
+fit and Datko criteria of both settings.
 
 Forward tail integrals that hit the system's tail cap without settling
 are divergence witnesses.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,23 +33,11 @@ from .probes import (
     backward_pairs,
     discrete_pairs,
     first_max,
-    ratio_data,
     s_grid,
     tail_probes,
 )
 from .quadrature import IntegralResult, evaluate, series, simpson, tails
-from .reports import (
-    FAIL,
-    INCONCLUSIVE,
-    INCONCLUSIVE_VERDICT,
-    PASS,
-    UES,
-    UNIFORM_CRITERIA,
-    UNSTABLE,
-    US_NOT_UES,
-    CriterionReport,
-    witness_dict,
-)
+from .reports import FAIL, INCONCLUSIVE, PASS, CriterionReport, witness_dict
 
 NU_LADDER = tuple(2.0 ** k for k in range(-4, 4))
 
@@ -63,39 +51,35 @@ MINORANT_MIN_LAG = 10.0
 
 @dataclass(frozen=True)
 class DecayFit:
-    N: float
     nu: float
+    N_of_s: dict  # each bin's constant, by the bin's key
     residual: float
     probes_used: int
     skipped: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def N(self) -> float:
+        return max(self.N_of_s.values())
 
 
-def fit_exponential_decay(
-    system: System,
-    data: RatioData,
-    n_cap: float = 1e3,
-    ladder=NU_LADDER,
-) -> DecayFit | None:
-    """Largest ladder rate nu admitting ||Phi(t,t0,x)v|| <= N e^{-nu(t-s)} ||Phi(s,t0,x)v||
-    with N <= n_cap on the probes.  Returns None when even the smallest rate
-    would need a constant above the cap.
+def fit_decay(data: RatioData, bins: np.ndarray, n_cap: float, ladder=NU_LADDER) -> DecayFit | None:
+    """Largest ladder rate nu admitting ||Phi(t,t0,x)v|| <= N(b) e^{-nu(t-s)} ||Phi(s,t0,x)v||
+    with every N(b) <= n_cap on the probes, b being a probe's value of ``bins``: its s in the
+    nonuniform setting, one value for all in the uniform one.  A bin whose constant is nan
+    admits no rate.  Returns None when even the smallest rate needs a constant above the cap.
     """
     if not len(data.probes):
         raise DegenerateProbe("no usable decay probes")
-    log_cap = math.log(n_cap)
+    groups = Groups(bins)
     for nu in sorted(ladder, reverse=True):
         a = data.log_ratio + nu * data.lag
-        log_n = a[first_max(a)].item()
-        if log_n <= log_cap:
-            n = max(1.0, math.exp(log_n))
-            # residual of the certified inequality; zero by construction up
-            # to rounding, recomputed honestly from the probe logs
-            excess = apply(math.exp, np.minimum(a, 700.0)) - n
-            resid = max(0.0, excess[first_max(excess)].item())
-            return DecayFit(n, nu, resid, len(data.probes), data.skipped)
+        log_n = a[groups.argmax(a)]
+        if (log_n <= math.log(n_cap)).all():
+            n = [max(1.0, math.exp(x)) for x in log_n.tolist()]
+            # residual of the certified inequality, zero by construction up to rounding: exp is
+            # monotone, so each bin's largest excess is at its largest probe log
+            resid = max(0.0, *(math.exp(min(x, 700.0)) - m for x, m in zip(log_n.tolist(), n)))
+            return DecayFit(nu, dict(zip(groups.keys[0].tolist(), n)), resid, len(data.probes), data.skipped)
     return None
 
 
@@ -628,7 +612,7 @@ def test_discrete_decay(
     """Integer-time exponential decay fit (hypothesis: uniform growth)."""
     if growth_env is None or growth_env.dubious:
         raise MissingGrowthEnvelope("discrete decay test requires a verified growth envelope")
-    fit = fit_exponential_decay(system, int_data, n_cap)
+    fit = fit_decay(int_data, np.zeros_like(int_data.lag), n_cap)
     max_lag = np.max(int_data.lag, initial=0.0).item()
     thin = max_lag < 5.0
     evidence = {"thin_grid": thin, "max_lag": max_lag}
@@ -637,124 +621,3 @@ def test_discrete_decay(
         return CriterionReport("decay-d", INCONCLUSIVE, evidence, config_echo=echo or {})
     evidence.update({"N": fit.N, "nu": fit.nu})
     return CriterionReport("decay-d", PASS, evidence, config_echo=echo or {})
-
-
-# ---------------------------------------------------------------------------
-# the panel
-
-@dataclass
-class UniformPanel:
-    verdict: str
-    reports: list
-    growth: GrowthEnvelope
-    fit: DecayFit | None
-    discrepancies: list
-
-    def report(self, cid: str) -> CriterionReport | None:
-        return next((r for r in self.reports if r.criterion_id == cid), None)
-
-
-# criteria whose fail witness rules out UES; a UES tag requires each to pass
-UES_CRITERIA = tuple(cid for cid in UNIFORM_CRITERIA if cid != "unif-stab")
-
-
-def run_rows(rows, selected, echo: dict, reports: list) -> list:
-    """Append to ``reports`` the report of each row (criterion id, thunk) that ``selected`` names, in row order.
-
-    ``selected`` None names every row.  A thunk may read the reports made
-    before it.  A criterion whose hypothesis, a verified growth envelope,
-    is missing reports inconclusive with the reason.
-    """
-    for cid, report in rows:
-        if selected is None or cid in selected:
-            try:
-                reports.append(report())
-            except MissingGrowthEnvelope as exc:
-                reports.append(CriterionReport(cid, INCONCLUSIVE, {"reason": str(exc)}, config_echo=echo))
-    return reports
-
-
-def _fit_report(fit: DecayFit | None, data: RatioData, n_cap: float, echo: dict) -> CriterionReport:
-    if fit is not None:
-        return CriterionReport("fit-exp", PASS, dict(fit.as_dict(), n_cap=n_cap), config_echo=echo)
-    worst = data.log_ratio[first_max(data.log_ratio)].item()
-    return CriterionReport("fit-exp", INCONCLUSIVE, {"reason": "no ladder rate admits a constant under the cap",
-                           "max_ratio": math.exp(min(worst, 700.0)), "n_cap": n_cap}, config_echo=echo)
-
-
-def shift_weight(fit: DecayFit | None) -> float:
-    """The nonuniform criteria's weight alpha: half the uniform decay rate, else 1/2."""
-    return fit.nu / 2.0 if fit is not None else 0.5
-
-
-def run_uniform_panel(system: System, config, data: RatioData | None = None, selected=None,
-                      nfit=None) -> UniformPanel:
-    """Run the uniform criteria in fixed order and aggregate a verdict.
-
-    Fail witnesses are decisive against uniform exponential stability;
-    passes are supporting evidence.  A successful decay fit coexisting with
-    a fail witness is a panel inconsistency and yields ``inconclusive``
-    rather than being silently resolved.  ``nfit`` is the nonuniform
-    panel's decay fit, when it passed.
-    """
-    from .gauges import make_gauge
-    from .growth import estimate_growth
-
-    if data is None:
-        data = ratio_data(system, s_step=config.grid_step)
-    # the integer and growth grids are read from the panel grid when it covers them
-    int_data = ratio_data(system, integer_only=True, within=data)
-    gauge = make_gauge(config.gauge)
-    env = estimate_growth(system, "uniform", grid_h=config.grid_h,
-                          data=ratio_data(system, lag_max=config.grid_h, within=data))
-    echo = {"gauge": gauge.describe(), "n_cap": config.ncap, "grid_h": config.grid_h}
-
-    reports = []
-    fit = fit_exponential_decay(system, data, config.ncap)
-
-    def expect(partner, time):  # None when no decay fit passed, else the weights batched alongside
-        if fit is None and nfit is None:
-            return None
-        return (shift_weight(fit),) if nfit is not None and time == "continuous" and (
-            selected is None or partner in selected) else ()
-
-    def barbashin(form, time):  # records the hypothesis established before it ran
-        stab = next((r for r in reports if r.criterion_id == "unif-stab"), None)
-        hypothesis = ("uniform-stability" if stab is not None and stab.verdict == PASS
-                      else "uniform-growth" if not env.dubious else "none")
-        return test_barbashin(system, form, time, gauge, config, hypothesis, expect=expect("barbashin-nu", time))
-
-    run_rows([
-        ("fit-exp", lambda: _fit_report(fit, data, config.ncap, echo)),
-        ("unif-stab", lambda: test_uniform_stability(system, data, config.ncap, echo)),
-        ("minorant", lambda: test_divergent_minorant(system, data, echo=echo)),
-        ("half-decay", lambda: test_half_decay(system, env, "continuous", config.delta_max, echo)),
-        ("half-decay-d", lambda: test_half_decay(system, env, "discrete", config.delta_max, echo)),
-        *((cid, functools.partial(test_datko, system, form, time, gauge, config, expect=expect(cid + "-nu", time)))
-          for (form, time), cid in _DATKO_IDS.items()),
-        *((cid, functools.partial(barbashin, form, time)) for (form, time), cid in _BARBASHIN_IDS.items()),
-        ("decay-d", lambda: test_discrete_decay(system, env, int_data, config.ncap, echo)),
-    ], selected, echo, reports)
-
-    by_id = {r.criterion_id: r for r in reports}
-    discrepancies = []
-    if selected is not None:
-        return UniformPanel("inconclusive", reports, env, fit, discrepancies)
-
-    fails = [cid for cid in UES_CRITERIA if cid in by_id and by_id[cid].verdict == FAIL]
-    fit_ok = by_id["fit-exp"].verdict == PASS
-    stab_ok = by_id["unif-stab"].verdict == PASS
-
-    if fit_ok and not fails:
-        verdict = UES
-    elif fit_ok:
-        verdict = INCONCLUSIVE_VERDICT
-        discrepancies.append("decay fit succeeded but criteria failed with witnesses: " + ", ".join(fails))
-    elif fails:
-        verdict = US_NOT_UES if stab_ok else UNSTABLE
-    elif stab_ok:
-        verdict = INCONCLUSIVE_VERDICT
-        discrepancies.append("no criterion failed but no decay fit was found")
-    else:
-        verdict = UNSTABLE
-    return UniformPanel(verdict, reports, env, fit, discrepancies)

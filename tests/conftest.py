@@ -14,7 +14,7 @@ from skewflow.errors import NonFinite
 from skewflow.nonuniform import run_nonuniform_panel
 from skewflow.probes import ratio_data
 from skewflow.quadrature import EVAL_CAP, IntegralResult, series, simpson, tails
-from skewflow.uniform import run_uniform_panel
+from skewflow.uniform import fit_decay
 
 
 # under CI the examples are derived from each test alone, so a failure there reproduces
@@ -68,6 +68,16 @@ def integrate_tail(f, a: float, tol: float, horizon_cap: float, eval_cap: int = 
 def sum_tail(f, n0: int, tol: float, cap: int, eval_cap: int = EVAL_CAP) -> IntegralResult:
     """Partial sum of f(n0) + f(n0+1) + ... for a scalar f (see ``quadrature.series``)."""
     return _one(series, f, [n0], tol, [cap], eval_cap, convert=int)
+
+
+def uniform_fit(data, n_cap: float = 1e3):
+    """The decay fit of the uniform setting: one bin holds every probe."""
+    return fit_decay(data, np.zeros_like(data.lag), n_cap)
+
+
+def nonuniform_fit(data, n_cap: float = 1e6):
+    """The decay fit of the nonuniform setting: one bin per s."""
+    return fit_decay(data, data.s, n_cap)
 
 
 def exponential_system(rate: float = -1.0, lag_max: float = 1024.0) -> System:
@@ -145,14 +155,6 @@ def systems():
 @pytest.fixture(scope="session")
 def ratio_cache(systems):
     return {name: ratio_data(s) for name, s in systems.items()}
-
-
-@pytest.fixture(scope="session")
-def uniform_panels(systems, ratio_cache, config):
-    return {
-        name: run_uniform_panel(s, config, data=ratio_cache[name])
-        for name, s in systems.items()
-    }
 
 
 @pytest.fixture(scope="session")

@@ -18,12 +18,19 @@ from skewflow.core import (
     cocycle_matrix,
 )
 from skewflow.gauges import make_gauge
-from skewflow.nonuniform import fit_nonuniform_decay
 from skewflow.probes import law_probes, ratio_data
 from skewflow.reports import FAIL, PASS
-from skewflow.uniform import fit_exponential_decay
 
-from conftest import exponential_system, integrate_finite, integrate_tail, operator_norm, shift_cocycle, sum_tail
+from conftest import (
+    exponential_system,
+    integrate_finite,
+    integrate_tail,
+    nonuniform_fit,
+    operator_norm,
+    shift_cocycle,
+    sum_tail,
+    uniform_fit,
+)
 
 import io
 from contextlib import redirect_stdout
@@ -55,7 +62,7 @@ def test_acceptance_2_decay_bound_and_fit(systems, ratio_cache):
                 assert operator_norm(s, sl + h, sl, x) <= math.exp(-h) + 1e-9
                 count += 1
     assert count == 500
-    fit = fit_exponential_decay(s, ratio_cache["scalar_decay"])
+    fit = uniform_fit(ratio_cache["scalar_decay"])
     assert fit is not None
     assert fit.nu >= 1.0
     assert fit.N <= 1.0 + 1e-9
@@ -63,8 +70,8 @@ def test_acceptance_2_decay_bound_and_fit(systems, ratio_cache):
               f"({fit.N:.3g}, {fit.nu:g})")
 
 
-def test_acceptance_3_bounded_ratio_separation(uniform_panels):
-    panel = uniform_panels["bounded_ratio"]
+def test_acceptance_3_bounded_ratio_separation(classifications):
+    panel = classifications["bounded_ratio"]
     stab = panel.report("unif-stab")
     assert stab.verdict == PASS
     assert stab.evidence["N"] <= 1.0 + 1e-9
@@ -76,7 +83,7 @@ def test_acceptance_3_bounded_ratio_separation(uniform_panels):
     _line(3, "bounded-ratio separation: stable, tail diverges, no fit")
 
 
-def test_acceptance_4_nonuniform_bounds(systems, ratio_cache, uniform_panels):
+def test_acceptance_4_nonuniform_bounds(systems, ratio_cache, classifications):
     tsint = systems["tsint"]
     count = 0
     for sl in [0.25 * k for k in range(25)]:
@@ -94,8 +101,8 @@ def test_acceptance_4_nonuniform_bounds(systems, ratio_cache, uniform_panels):
         want = math.exp(2.0 * n - math.exp(-float(n) ** 2))
         assert abs(got / want - 1.0) <= 1e-12
 
-    assert uniform_panels["spike"].verdict != "UES"
-    nf = fit_nonuniform_decay(spike, ratio_cache["spike"])
+    assert classifications["spike"].label != "UES"
+    nf = nonuniform_fit(ratio_cache["spike"])
     assert nf is not None and nf.nu >= 1.0
     _line(4, "oscillating bound, spike nodes exact, spike not UES, "
               f"nonuniform fit nu = {nf.nu:g}")
@@ -159,8 +166,8 @@ def test_acceptance_6b_contradiction_exit_code(tmp_path):
     _line(6, "inconsistency surfaces as exit code 3")
 
 
-def test_acceptance_7_discrete_continuous_agreement(uniform_panels):
-    for name, panel in uniform_panels.items():
+def test_acceptance_7_discrete_continuous_agreement(classifications):
+    for name, panel in classifications.items():
         cont = panel.report("fit-exp").verdict
         disc = panel.report("decay-d").verdict
         assert (cont == PASS) == (disc == PASS), (name, cont, disc)
@@ -171,7 +178,7 @@ def test_acceptance_7_discrete_continuous_agreement(uniform_panels):
 def test_acceptance_8_shift_consistency(alpha):
     base = exponential_system(-1.0)
     shifted = shift_cocycle(base, alpha)
-    fit = fit_exponential_decay(shifted, ratio_data(shifted))
+    fit = uniform_fit(ratio_data(shifted))
     assert fit is not None
     assert 1.0 + alpha - 0.5 <= fit.nu <= 8.0
 

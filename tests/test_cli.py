@@ -34,6 +34,7 @@ def load_schema():
 
 
 SCHEMA = load_schema()
+CUSTOM = Path(__file__).parent / "data" / "custom_l2_dim2.json"
 
 
 def validate(doc):
@@ -61,6 +62,13 @@ class TestAxioms:
          "InvalidParams: diag3 has no parameter alphaX; it takes alpha1, alpha2, alpha3, l"),
         (["classify", "--system", "tsint", "--param", "mu=1"],
          "InvalidParams: tsint has no parameter mu; it takes none"),
+        # a custom system reads no parameter
+        (["classify", "--config", str(CUSTOM), "--param", "k=1"],
+         "InvalidParams: a custom system has no parameter k; it takes none"),
+        (["sweep", "--config", str(CUSTOM), "--sweep", "nosuch=1,2"],
+         "InvalidParams: a custom system has no parameter nosuch; it takes none"),
+        (["axioms", "--config", str(CUSTOM), "--param", "b=1", "--param", "a=2"],
+         "InvalidParams: a custom system has no parameter a, b; it takes none"),
     ])
     def test_a_parameter_the_system_does_not_read_exits_2(self, argv, error):
         code, text = run_cli(argv)
@@ -68,6 +76,14 @@ class TestAxioms:
         validate(doc)
         assert code == 2
         assert doc["error"] == error
+
+    @pytest.mark.parametrize("command", ["classify", "growth", "sweep"])
+    def test_a_custom_system_rejects_config_file_params(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(CUSTOM.read_text()), "params": {"mu": 2.0}}))
+        code, text = run_cli([command, "--config", str(cfg)])
+        assert code == 2
+        assert json.loads(text)["error"] == "InvalidParams: a custom system has no parameter mu; it takes none"
 
     def test_time_order_injection_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -233,14 +249,15 @@ class TestSweep:
         assert code == 2
         assert doc["error"] == "ConfigError: no system selected (use --system or a config file)"
 
-    def test_custom_system_from_the_config_file_wins_over_system(self, tmp_path):
-        # classify picks the custom system of a config file over --system; so does each sweep row
+    def test_custom_system_from_the_config_file_wins_over_system(self):
+        # classify picks the custom system of a config file over --system; so does each sweep row,
+        # which then rejects the gallery system's parameter
         data = Path(__file__).parent / "data" / "custom_linf_dim2.json"
-        with_system, alone = tmp_path / "with.csv", tmp_path / "alone.csv"
-        assert run_cli(["sweep", "--config", str(data), "--system", "scalar_decay", "--sweep", "mu=1.5",
-                        "--out", str(with_system)])[0] == 0
-        assert run_cli(["sweep", "--config", str(data), "--sweep", "mu=1.5", "--out", str(alone)])[0] == 0
-        assert with_system.read_text() == alone.read_text()
+        code, text = run_cli(["classify", "--config", str(data), "--system", "scalar_decay"])
+        assert code == 0 and json.loads(text)["system"] == "custom-linf-dim2"
+        code, text = run_cli(["sweep", "--config", str(data), "--system", "scalar_decay", "--sweep", "mu=1.5"])
+        assert code == 2
+        assert json.loads(text)["error"] == "InvalidParams: a custom system has no parameter mu; it takes none"
 
     def test_oversized_sweep_rejected(self):
         code, _ = run_cli(

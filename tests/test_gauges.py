@@ -36,6 +36,14 @@ def test_saturating_values():
     assert g(9.0) == 0.9
 
 
+def test_saturating_array_at_infinity_is_the_scalar_nan_without_a_warning():
+    g = make_gauge("sat:1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = g.array(np.array([0.0, 1.0, math.inf]))
+    assert got[:2].tolist() == [0.0, 0.5] and math.isnan(got[2]) and math.isnan(g(math.inf))
+
+
 def test_power_one_matches_identity():
     p1 = make_gauge("pow:1")
     ident = make_gauge("identity")

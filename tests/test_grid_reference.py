@@ -6,6 +6,7 @@ bit, and the reductions must not warn where Python's float arithmetic is
 silent.
 """
 
+import dataclasses
 import math
 import random
 import warnings
@@ -16,11 +17,11 @@ import pytest
 from skewflow import gallery
 from skewflow.errors import DegenerateProbe
 from skewflow.growth import M_CAP_NONUNIFORM, M_CAP_UNIFORM, OMEGA_LADDER, estimate_growth, verify_growth
-from skewflow.nonuniform import _bins_bounded, fit_nonuniform_decay
+from skewflow.nonuniform import _bins_bounded, _fit_report
 from skewflow.nonuniform import test_decaying_majorant as majorant_check
 from skewflow.probes import RatioData, RatioProbe
 from skewflow.reports import witness_dict
-from skewflow.uniform import NU_LADDER, _fit_report, fit_exponential_decay
+from skewflow.uniform import NU_LADDER, fit_decay
 from skewflow.uniform import test_divergent_minorant as minorant_check
 from skewflow.uniform import test_uniform_stability as uniform_stability_check
 
@@ -48,13 +49,16 @@ def _witness(p):
     return witness_dict(t=p.t, s=p.s, t0=p.t0, x=p.x, v=p.v)
 
 
-def ref_fit(ps):
+def ref_fit(ps, bin_of=lambda p: 0.0, cap=1e3):
+    bins = {}
+    for p in ps:
+        bins.setdefault(bin_of(p), []).append(p)
     for nu in sorted(NU_LADDER, reverse=True):
-        log_n = max(p.log_ratio + nu * p.lag for p in ps)
-        if log_n <= math.log(1e3):
-            n = max(1.0, math.exp(log_n))
-            resid = max(0.0, max(math.exp(min(p.log_ratio + nu * p.lag, 700.0)) - n for p in ps))
-            return {"N": n, "nu": nu, "residual": resid, "probes_used": len(ps), "skipped": 0}
+        log_n = {b: max(p.log_ratio + nu * p.lag for p in members) for b, members in bins.items()}
+        if all(x <= math.log(cap) for x in log_n.values()):  # a nan constant admits no rate
+            n = {b: max(1.0, math.exp(x)) for b, x in sorted(log_n.items())}
+            resid = max(0.0, max(math.exp(min(p.log_ratio + nu * p.lag, 700.0)) - n[bin_of(p)] for p in ps))
+            return {"nu": nu, "N_of_s": n, "residual": resid, "probes_used": len(ps), "skipped": 0}
     return None
 
 
@@ -120,8 +124,8 @@ def test_reductions_match_the_probe_loops(seed):
         data = _columns(ps)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_exponential_decay(SYSTEM, data)
-            assert repr(fit and fit.as_dict()) == repr(ref_fit(ps))
+            fit = fit_decay(data, np.zeros_like(data.lag), 1e3)
+            assert repr(fit and dataclasses.asdict(fit)) == repr(ref_fit(ps))
             worst = max(ps, key=lambda p: p.log_ratio)
             n = max(1.0, math.exp(min(worst.log_ratio, 700.0)))
             r = uniform_stability_check(SYSTEM, data)
@@ -136,8 +140,8 @@ def test_reductions_match_the_probe_loops(seed):
                 table, worst = ref_majorant(ps)
                 assert repr(r.evidence["g_star"]) == repr(table)
                 assert r.witness is None or r.witness == _witness(worst)
-            nfit = fit_nonuniform_decay(SYSTEM, data)
-            assert nfit is None or all(n >= 1.0 for n in nfit.N_of_s.values())
+            nfit = fit_decay(data, data.s, 1e6)
+            assert repr(nfit and dataclasses.asdict(nfit)) == repr(ref_fit(ps, lambda p: p.s, 1e6))
             bins = {}
             for p in ps:
                 bins[p.s] = max(bins.get(p.s, 0.0), p.log_ratio)
@@ -156,6 +160,7 @@ def test_reductions_match_the_probe_loops(seed):
 
 def test_an_empty_probe_set_is_a_degenerate_probe():
     empty = _columns([])
-    for check in (fit_exponential_decay, uniform_stability_check, lambda s, d: _fit_report(None, d, 1e3, {})):
+    for check in (lambda s, d: fit_decay(d, d.s, 1e3), uniform_stability_check,
+                  lambda s, d: _fit_report(None, d, 1e3, {})):
         with pytest.raises(DegenerateProbe):
             check(SYSTEM, empty)

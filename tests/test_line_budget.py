@@ -3,7 +3,7 @@
 from pathlib import Path
 
 # every line of src/skewflow/*.py, empty ones included (``wc -l``), when this guard was last lowered
-LINE_BUDGET = 3333
+LINE_BUDGET = 3242
 
 
 def test_the_source_stays_within_its_line_budget():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -74,6 +75,15 @@ def test_one_classify_evaluates_each_ratio_of_the_panel_grid_once(evaluations):
     rows = {(x, max(0.0, x - off)) for x in s_grid(h.s_max) for off in (0.0, 1.5, 3.0)}
     # each row at t = s and at every lag, then each extra pair once
     assert evaluations[0] == len(rows) * samples * (1 + len(lag_grid(h.lag_max))) + len(h.extra_pairs) * samples
+
+
+def test_a_log_ratio_beyond_float_range_is_inf_without_a_warning():
+    # sin terms of coef -1e308: log norms of about +-1e308, whose difference overflows as Python's floats do
+    s = gallery.build_custom({"entries": [[{"kind": "sin", "coef": -1e308}]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = ratio_data(s)
+    assert np.isinf(data.log_ratio).any()
 
 
 def test_maxima_are_the_ones_pythons_max_takes():

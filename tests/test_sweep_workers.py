@@ -28,15 +28,16 @@ SWEEPS = [
     ("sweep", "--system", "diag3", "--sweep", "alpha1=-1,1", "--param", "l=1.5"),
     ("sweep", "--system", "shift-metric-demo", "--sweep", "rate=-4"),
     ("sweep", "--system", "diag3", "--sweep", "alpha1=-1,1", "--sweep", "alpha2=-1,1"),
-    # a custom system ignores its params: three equal rows
-    ("sweep", "--config", str(ROOT / "tests/data/custom_l2_dim2.json"), "--sweep", "k=1,2,3"),
 ]
 
-# row 1 (c=0.5) fails on a child; row 0 (c=0.5) fails in the calling process
-FAILING = [
-    ("sweep", "--system", "bounded_ratio", "--sweep", "c=2,0.5,3,0.7"),
-    ("sweep", "--system", "bounded_ratio", "--sweep", "c=0.5,2"),
-]
+# each call's error: row 1 (c=0.5) fails on a child; row 0 (c=0.5) fails in the calling process;
+# a custom system has no parameters, so every row fails
+FAILING = {
+    ("sweep", "--system", "bounded_ratio", "--sweep", "c=2,0.5,3,0.7"): "InvalidParams: c must exceed 1",
+    ("sweep", "--system", "bounded_ratio", "--sweep", "c=0.5,2"): "InvalidParams: c must exceed 1",
+    ("sweep", "--config", str(ROOT / "tests/data/custom_l2_dim2.json"), "--sweep", "k=1,2,3"):
+        "InvalidParams: a custom system has no parameter k; it takes none",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -78,7 +79,7 @@ def rows_of(argv):
     return n
 
 
-@pytest.mark.parametrize("argv", SWEEPS + FAILING, ids=" ".join)
+@pytest.mark.parametrize("argv", SWEEPS + list(FAILING), ids=" ".join)
 def test_forked_rows_give_the_in_process_output(argv, monkeypatch, forks):
     serial = run(argv, monkeypatch, 1)
     assert forks == []
@@ -87,11 +88,11 @@ def test_forked_rows_give_the_in_process_output(argv, monkeypatch, forks):
     assert len(forks) == min(2, rows_of(argv)) - 1
 
 
-@pytest.mark.parametrize("argv", FAILING, ids=" ".join)
+@pytest.mark.parametrize("argv", list(FAILING), ids=" ".join)
 def test_the_failing_row_gives_the_error_document(argv, monkeypatch):
     code, text = run(argv, monkeypatch, 2)
     assert code == cli.EXIT_CONFIG
-    assert '"error": "InvalidParams: c must exceed 1"' in text
+    assert f'"error": "{FAILING[argv]}"' in text
 
 
 def square(i):
@@ -138,7 +139,7 @@ def test_a_child_that_dies_gives_the_error_document(monkeypatch):
         return real_build(name, params)
 
     monkeypatch.setattr(cli.gallery, "build", build)
-    code, text = run(FAILING[1][:-1] + ("c=2,3",), monkeypatch, 2)
+    code, text = run(("sweep", "--system", "bounded_ratio", "--sweep", "c=2,3"), monkeypatch, 2)
     assert code == cli.EXIT_CONFIG
     assert '"error": "RuntimeError: a sweep worker ended without a result"' in text
 

@@ -11,6 +11,7 @@ import pytest
 
 from skewflow import RunConfig, cli, gallery, nonuniform, quadrature, uniform
 from skewflow.cli import main
+from skewflow.nonuniform import run_nonuniform_panel
 from skewflow.errors import BudgetExceeded, MissingGrowthEnvelope, NonFinite
 from skewflow.gauges import make_gauge
 from skewflow.growth import estimate_growth
@@ -19,9 +20,7 @@ from skewflow.quadrature import IntegralResult
 from skewflow.reports import FAIL, INCONCLUSIVE, PASS
 from skewflow.uniform import (
     Skipped,
-    fit_exponential_decay,
     forward_tails,
-    run_uniform_panel,
     test_barbashin as barbashin_check,
     test_datko as datko_check,
     test_discrete_decay as discrete_decay_check,
@@ -39,14 +38,15 @@ from conftest import (
     log_vector_norm,
     operator_norm,
     shift_cocycle,
+    uniform_fit,
 )
 
 IDENTITY = make_gauge("identity")
 
 
 class TestFit:
-    def test_scalar_decay_matches_expected_constants(self, systems, ratio_cache):
-        fit = fit_exponential_decay(systems["scalar_decay"], ratio_cache["scalar_decay"])
+    def test_scalar_decay_matches_expected_constants(self, ratio_cache):
+        fit = uniform_fit(ratio_cache["scalar_decay"])
         assert fit is not None
         assert fit.nu >= 1.0
         assert fit.N <= 1.0 + 1e-9
@@ -54,15 +54,15 @@ class TestFit:
 
     def test_pure_exponential(self):
         s = exponential_system(-2.0)
-        fit = fit_exponential_decay(s, ratio_data(s))
+        fit = uniform_fit(ratio_data(s))
         assert fit.nu == 2.0
         assert fit.N == pytest.approx(1.0, abs=1e-12)
 
-    def test_bounded_ratio_inconclusive(self, systems, ratio_cache):
-        assert fit_exponential_decay(systems["bounded_ratio"], ratio_cache["bounded_ratio"]) is None
+    def test_bounded_ratio_inconclusive(self, ratio_cache):
+        assert uniform_fit(ratio_cache["bounded_ratio"]) is None
 
-    def test_spike_inconclusive(self, systems, ratio_cache):
-        assert fit_exponential_decay(systems["spike"], ratio_cache["spike"]) is None
+    def test_spike_inconclusive(self, ratio_cache):
+        assert uniform_fit(ratio_cache["spike"]) is None
 
 
 class TestUniformStability:
@@ -290,39 +290,39 @@ class TestDiscreteDecay:
         with pytest.raises(MissingGrowthEnvelope):
             discrete_decay_check(s, env, ratio_data(s, integer_only=True), n_cap=config.ncap)
 
-    def test_agreement_with_continuous(self, systems, ratio_cache, uniform_panels):
+    def test_agreement_with_continuous(self, systems, classifications):
         for name in systems:
-            cont = uniform_panels[name].report("fit-exp").verdict
-            disc = uniform_panels[name].report("decay-d").verdict
+            cont = classifications[name].report("fit-exp").verdict
+            disc = classifications[name].report("decay-d").verdict
             assert (cont == PASS) == (disc == PASS), name
 
 
 class TestPanel:
-    def test_scalar_decay_is_ues(self, uniform_panels):
-        assert uniform_panels["scalar_decay"].verdict == "UES"
+    def test_scalar_decay_is_ues(self, classifications):
+        assert classifications["scalar_decay"].label == "UES"
 
-    def test_bounded_ratio_is_us_not_ues(self, uniform_panels):
-        assert uniform_panels["bounded_ratio"].verdict == "US-not-UES"
+    def test_bounded_ratio_is_us_not_ues(self, classifications):
+        assert classifications["bounded_ratio"].label == "US-not-UES"
 
     def test_growing_exponential_is_unstable(self, config):
-        panel = run_uniform_panel(exponential_system(1.0), config)
-        assert panel.verdict == "unstable"
+        panel = run_nonuniform_panel(exponential_system(1.0), config)
+        assert panel.label == "unstable"
 
-    def test_spike_not_ues(self, uniform_panels):
-        assert uniform_panels["spike"].verdict != "UES"
+    def test_spike_not_ues(self, classifications):
+        assert classifications["spike"].label != "UES"
 
-    def test_report_order_is_fixed(self, uniform_panels):
-        ids = [r.criterion_id for r in uniform_panels["scalar_decay"].reports]
+    def test_report_order_is_fixed(self, classifications):
+        ids = [r.criterion_id for r in classifications["scalar_decay"].criteria[:12]]
         assert ids == [
             "fit-exp", "unif-stab", "minorant", "half-decay", "half-decay-d",
             "datko-v", "datko-op", "datko-d",
             "barbashin-v", "barbashin-op", "barbashin-d", "decay-d",
         ]
 
-    def test_pass_evidence_recheckable(self, uniform_panels):
+    def test_pass_evidence_recheckable(self, classifications):
         # a pass verdict must be re-derivable from the recorded numbers
-        for name, panel in uniform_panels.items():
-            for r in panel.reports:
+        for name, panel in classifications.items():
+            for r in panel.criteria:
                 if r.verdict != PASS:
                     continue
                 ev = r.evidence
@@ -360,9 +360,9 @@ class TestScaleInvariance:
     def test_vector_scaling_changes_no_verdict(self, systems, config):
         for name in ("scalar_decay", "bounded_ratio"):
             s = systems[name]
-            base = run_uniform_panel(s, config)
-            scaled = run_uniform_panel(_with_doubled_vectors(s), config)
-            for a, b in zip(base.reports, scaled.reports):
+            base = run_nonuniform_panel(s, config)
+            scaled = run_nonuniform_panel(_with_doubled_vectors(s), config)
+            for a, b in zip(base.criteria, scaled.criteria):
                 assert a.verdict == b.verdict, (name, a.criterion_id)
 
 
@@ -371,7 +371,7 @@ class TestShiftConsistency:
     def test_shifted_rate_tracks_ladder(self, alpha):
         base = exponential_system(-1.0)
         shifted = shift_cocycle(base, alpha)
-        fit = fit_exponential_decay(shifted, ratio_data(shifted))
+        fit = uniform_fit(ratio_data(shifted))
         assert fit is not None
         # factor-2 ladder: the fitted rate lies within one rung of 1 + alpha
         assert (1.0 + alpha) / 2.0 <= fit.nu <= (1.0 + alpha)
@@ -384,7 +384,7 @@ class TestMonotoneGaugeConsistency:
         # nu >= ln 2, so a quadratic-gauge pass must coexist with an
         # identity-gauge pass
         s = exponential_system(rate)
-        fit = fit_exponential_decay(s, ratio_data(s))
+        fit = uniform_fit(ratio_data(s))
         assert fit.N <= 1.0 + 1e-12 and fit.nu >= math.log(2.0)
         quadratic = datko_check(s, "vector", "continuous", make_gauge("pow:2"), config)
         identity = datko_check(s, "vector", "continuous", IDENTITY, config)
@@ -592,7 +592,7 @@ def _integrand_calls(monkeypatch, name) -> list:
     """(charged to, points) of each integrand array call of ``classify --system name``: charged to the panel
     row (its criterion id) whose thunk ``run_rows`` runs, or to ``pow:2``, the ground-truth check's re-runs."""
     calls, running = [], [None]
-    evaluate, run_rows, check = quadrature.evaluate, uniform.run_rows, cli.check_ground_truth
+    evaluate, run_rows, check = quadrature.evaluate, nonuniform.run_rows, cli.check_ground_truth
 
     def counting(F, x, k):
         calls.append((running[0], x.size))
@@ -609,9 +609,8 @@ def _integrand_calls(monkeypatch, name) -> list:
 
     monkeypatch.setattr(quadrature, "evaluate", counting)
     monkeypatch.setattr(uniform, "evaluate", counting)
-    for module in (uniform, nonuniform):
-        monkeypatch.setattr(module, "run_rows",
-                            lambda rows, *a: run_rows([(cid, charged(cid, r)) for cid, r in rows], *a))
+    monkeypatch.setattr(nonuniform, "run_rows",
+                        lambda rows, *a: run_rows([(cid, charged(cid, r)) for cid, r in rows], *a))
     monkeypatch.setattr(cli, "check_ground_truth", charged("pow:2", check))
     with redirect_stdout(io.StringIO()):
         main(["classify", "--system", name])
