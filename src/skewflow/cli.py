@@ -153,12 +153,11 @@ def cmd_axioms(args) -> int:
     system = _build_system(cfg)
     tol = cfg.tol
     probes = law_probes(system, 200, cfg.seed)
-    if cfg.probes:
-        for row in cfg.probes:
-            t, s, t0 = float(row[0]), float(row[1]), float(row[2])
-            if not (t >= s >= t0 >= 0):
-                raise TimeOrderViolation(f"injected probe violates time order: {row}")
-            probes.append((t, s, t0, system.state_samples[0], system.vector_samples[0]))
+    for row in cfg.probes or ():  # three finite numbers each (merge_config)
+        t, s, t0 = map(float, row)
+        if not t >= s >= t0 >= 0:
+            raise TimeOrderViolation(f"injected probe violates time order: {row}")
+        probes.append((t, s, t0, system.state_samples[0], system.vector_samples[0]))
     semi = check_semiflow_law(system, probes)
     coc = check_cocycle_law(system, probes)
     # a declaration is a law too: a false one would share integrals wrongly

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -92,6 +93,11 @@ def merge_config(file_doc: dict | None, flag_values: dict) -> RunConfig:
         raise ConfigError(f"criteria must be a comma-separated string, got {cfg.criteria!r}")
     if not isinstance(cfg.params, dict):
         raise ConfigError(f"params must be an object, got {cfg.params!r}")
+    # a JSON integer may lie beyond the float range, and a bool is no number
+    if cfg.probes is not None and not (isinstance(cfg.probes, list) and all(
+            isinstance(row, list) and len(row) == 3
+            and all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in row) for row in cfg.probes)):
+        raise ConfigError(f"probes must be a list of [t, s, t0] rows of three finite numbers, got {cfg.probes!r}")
     if cfg.format not in ("json", "csv"):
         raise ConfigError(f"unknown format {cfg.format!r}")
     known = UNIFORM_CRITERIA + NONUNIFORM_CRITERIA

@@ -10,8 +10,9 @@ two-time-parameter families defined for ``t >= s >= 0`` and satisfy
 
 A cocycle is diagonal: ``log_diag(t, s, x)`` gives the logs of its entry
 magnitudes, and one rule serves a batch (``log_diags``): ``log_diag_array``
-when the cocycle has it, else ``log_diag`` mapped over the elements.  The
-README ("Numerical conventions") gives the rest of the log-space rules.
+when the cocycle has it, else ``log_diag`` mapped over the elements.  A
+semiflow moves arrays of states by ``move(t, s, values, real)`` (``evolve``).
+The README ("Numerical conventions") gives the rest of the log-space rules.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,17 +36,12 @@ _NEG_INF = float("-inf")
 _LOG_MAX = 709.782712893384  # the largest float whose exp is finite
 
 
-def check_time_pair(t: float, s: float) -> None:
-    """Validate membership of (t, s) in the ordered time domain."""
-    if not (t >= s >= 0.0):
-        raise TimeOrderViolation(f"need t >= s >= 0, got t={t}, s={s}")
-
-
 def check_time_pairs(t: np.ndarray, s: np.ndarray) -> None:
-    """check_time_pair on every element of two arrays of times."""
+    """Validate membership of every (t_i, s_i) in the ordered time domain; the first pair outside it is named."""
     ok = (t >= s) & (s >= 0.0)
     if not ok.all():
-        check_time_pair(*(v[np.argmin(ok)] for v in (t, s)))
+        i = np.argmin(ok)
+        raise TimeOrderViolation(f"need t >= s >= 0, got t={float(t[i])}, s={float(s[i])}")
 
 
 def apply(f, a: np.ndarray) -> np.ndarray:
@@ -84,19 +80,10 @@ class States(NamedTuple):
 
     @classmethod
     def of(cls, points) -> States:
-        return cls(np.array([x.value for x in points], dtype=float), np.array([x.kind == ABSTRACT_REAL for x in points]))
+        return cls(np.array([x.value for x in points], float), np.array([x.kind == ABSTRACT_REAL for x in points], bool))
 
     def points(self) -> list:
         return [StatePoint((SHIFT_PARAMETER, ABSTRACT_REAL)[r], v) for v, r in zip(self.value.tolist(), self.real.tolist())]
-
-
-def state_distance(a: StatePoint, b: StatePoint) -> float:
-    """Parameter distance between two states of the same kind."""
-    if a.kind != b.kind:
-        raise InvalidParams("cannot compare states of different kinds")
-    if math.isinf(a.value) and math.isinf(b.value):
-        return 0.0
-    return abs(a.value - b.value)
 
 
 def vec_norm(v: Sequence[float], norm: str) -> float:
@@ -139,17 +126,17 @@ class System:
     ``state_samples`` and ``vector_samples``; these finite sets are part of
     the system's contract.  ``vector_samples`` must be unit vectors in
     ``norm_choice``; ``dual_samples`` unit in the dual norm.  The semiflow
-    also moves arrays (``move``); the cocycle has ``log_diag(t, s, x)``, the
-    logs of its diagonal entries' magnitudes, and may add ``log_diag_array``
-    for batches (``log_diags``).  ``time_invariant`` (t and s read only
-    through t - s) and ``state_independent`` (x not read) let the integral
-    criteria share integrals (README); ``axioms`` checks both.  ``memo``
-    holds the integral results computed for this system; a copy made with
-    ``dataclasses.replace`` starts with an empty one.
+    moves arrays of states (``move``, read only by ``evolve``); the cocycle
+    has ``log_diag(t, s, x)``, the logs of its diagonal entries' magnitudes,
+    and may add ``log_diag_array`` (both read only by ``log_diags``).
+    ``time_invariant`` (t and s read only through t - s) and
+    ``state_independent`` (x not read) let the integral criteria share
+    integrals (README); ``axioms`` checks both.  ``memo`` holds the integral
+    results computed for this system; ``dataclasses.replace`` starts it empty.
     """
 
     name: str
-    semiflow: Callable[[float, float, StatePoint], StatePoint]
+    semiflow: object
     cocycle: object
     dimension: int
     norm_choice: str
@@ -186,39 +173,11 @@ def evolve(system: System, t: np.ndarray, s: np.ndarray, x: States) -> States:
 
 
 def log_diags(system: System, t: np.ndarray, s: np.ndarray, x: States) -> np.ndarray:
-    """The (d, n) array of log_diag(t_i, s_i, x_i).
-
-    A cocycle with ``log_diag_array(t, s, values)`` is served by it; any
-    other has its ``log_diag`` mapped over the elements.
-    """
+    """The (d, n) array of log_diag(t_i, s_i, x_i), by ``log_diag_array(t, s, values)`` if the cocycle has it."""
     if hasattr(system.cocycle, "log_diag_array"):
         return system.cocycle.log_diag_array(t, s, x.value)
     rows = list(map(system.cocycle.log_diag, t.tolist(), s.tolist(), x.points()))
     return np.array(rows, dtype=float).reshape(len(rows), system.dimension).T
-
-
-def cocycle_matrix(system: System, t: float, s: float, x: StatePoint) -> np.ndarray:
-    """Dense matrix value of the cocycle at (t, s, x)."""
-    check_time_pair(t, s)
-    # math.exp per entry, so the matrix does not depend on the CPU; beyond float range, inf as numpy's exp gives
-    g = np.asarray(system.cocycle.log_diag(t, s, x), dtype=float).tolist()
-    return np.diag([math.inf if v > _LOG_MAX else math.exp(v) for v in g])
-
-
-def apply_cocycle(system: System, t: float, s: float, x: StatePoint, v) -> np.ndarray:
-    """Apply Phi(t, s, x) to a vector.
-
-    Raises NonFinite when the value overflows; that signals the caller to
-    shrink the horizon, not an instability verdict.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (system.dimension,):
-        raise InvalidParams(f"vector has shape {v.shape}, expected ({system.dimension},)")
-    m = cocycle_matrix(system, t, s, x)
-    out = m @ v
-    if not np.all(np.isfinite(out)):
-        raise NonFinite(f"cocycle value overflowed at (t={t}, s={s})")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,47 +277,63 @@ class LawReport:
         return asdict(self)
 
 
+def _columns(probes) -> tuple:
+    """(t, s, t0, x) of (t, s, t0, x, ...) probes as arrays and one States, each (t, s) checked before its (s, t0)."""
+    t, s, t0 = (np.array([p[k] for p in probes], dtype=float) for k in range(3))
+    check_time_pairs(np.stack([t, s], 1).ravel(), np.stack([s, t0], 1).ravel())
+    return t, s, t0, States.of([p[3] for p in probes])
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Parameter distance between state values; two infinite parameters are at distance 0."""
+    return np.where(np.isinf(a) & np.isinf(b), 0.0, np.abs(a - b))
+
+
+def _sup(d: np.ndarray) -> float:
+    """max(0.0, d_1, d_2, ...) under Python's rules: a nan never wins."""
+    d = d[d > 0.0]
+    return float(d.max()) if d.size else 0.0
+
+
+def _cocycle_times(system: System, t, s, x: States, w: np.ndarray) -> np.ndarray:
+    """Phi(t_i, s_i, x_i) w_i for each column of w, by math.exp per entry (CPU-independent; inf beyond float range)."""
+    return apply(lambda g: math.inf if g > _LOG_MAX else math.exp(g), log_diags(system, t, s, x)) * w
+
+
+@np.errstate(all="ignore")
 def check_semiflow_law(system: System, probes) -> LawReport:
-    """Deviations of the semiflow identity and composition laws.
-
-    Probes are (t, s, t0, x[, ...]) tuples with t >= s >= t0 >= 0.
-    """
-    comp = 0.0
-    ident = 0.0
-    for probe in probes:
-        t, s, t0, x = probe[0], probe[1], probe[2], probe[3]
-        check_time_pair(t, s)
-        check_time_pair(s, t0)
-        mid = system.semiflow(s, t0, x)
-        lhs = system.semiflow(t, s, mid)
-        rhs = system.semiflow(t, t0, x)
-        comp = max(comp, state_distance(lhs, rhs))
-        ident = max(ident, state_distance(system.semiflow(t, t, x), x))
-    return LawReport(comp, ident, len(probes))
+    """Deviations of the semiflow identity and composition laws over all (t, s, t0, x[, ...]) probes at once."""
+    t, s, t0, x = _columns(probes)
+    comp = _distance(evolve(system, t, s, evolve(system, s, t0, x)).value, evolve(system, t, t0, x).value)
+    return LawReport(_sup(comp), _sup(_distance(evolve(system, t, t, x).value, x.value)), len(probes))
 
 
+@np.errstate(all="ignore")
 def check_cocycle_law(system: System, probes) -> LawReport:
-    """Relative deviations of the cocycle identity and composition laws.
+    """Relative deviations of the cocycle identity and composition laws over all (t, s, t0, x, v) probes at once.
 
-    Probes are (t, s, t0, x, v) tuples.  The composition deviation is
+    The composition deviation is
     ||Phi(t,s,phi(s,t0,x)) Phi(s,t0,x) v - Phi(t,t0,x) v|| / max(1, ||Phi(t,t0,x) v||).
+    A value that is not finite raises NonFinite, a cue to shrink the horizon and
+    not a verdict; it names the first by probe, then as step, lhs, rhs, identity.
     """
-    comp = 0.0
-    ident = 0.0
-    for t, s, t0, x, v in probes:
-        check_time_pair(t, s)
-        check_time_pair(s, t0)
-        mid_state = system.semiflow(s, t0, x)
-        step = apply_cocycle(system, s, t0, x, v)
-        lhs = apply_cocycle(system, t, s, mid_state, step)
-        rhs = apply_cocycle(system, t, t0, x, v)
-        denom = max(1.0, vec_norm(rhs, system.norm_choice))
-        comp = max(comp, vec_norm(lhs - rhs, system.norm_choice) / denom)
-        same = apply_cocycle(system, t, t, x, v)
-        ident = max(ident, vec_norm(same - np.asarray(v, dtype=float), system.norm_choice))
-    return LawReport(comp, ident, len(probes))
+    t, s, t0, x = _columns(probes)
+    norms = lambda w: np.array([vec_norm(c, system.norm_choice) for c in w.T.tolist()])
+    v = np.array([p[4] for p in probes], dtype=float).reshape(len(probes), system.dimension).T
+    step = _cocycle_times(system, s, t0, x, v)
+    lhs = _cocycle_times(system, t, s, evolve(system, s, t0, x), step)
+    rhs = _cocycle_times(system, t, t0, x, v)
+    same = _cocycle_times(system, t, t, x, v)
+    bad = ~np.isfinite(np.stack([step, lhs, rhs, same], 2)).all(axis=0)  # (n, 4)
+    if bad.any():
+        i, k = divmod(int(np.argmax(bad)), 4)
+        a, b = ((s, t0), (t, s), (t, t0), (t, t))[k]
+        raise NonFinite(f"cocycle value overflowed at (t={float(a[i])}, s={float(b[i])})")
+    n = norms(rhs)
+    return LawReport(_sup(norms(lhs - rhs) / np.where(n > 1.0, n, 1.0)), _sup(norms(same - v)), len(probes))
 
 
+@np.errstate(all="ignore")
 def check_declarations(system: System, probes) -> tuple:
     """The largest deviations from the system's declarations over the probes: (time invariance, state independence).
 
@@ -368,13 +343,17 @@ def check_declarations(system: System, probes) -> tuple:
     state sample.  log_diag deviates by the largest difference of its logs, a
     nan by inf.  A true declaration deviates by rounding; an undeclared one is None.
     """
-    def gap(p, q):  # between log_diag at the points p and q; a nan matches nothing
-        a, b = (np.asarray(system.cocycle.log_diag(*r), dtype=float) for r in (p, q))
-        return float(np.nan_to_num(np.where(a == b, 0.0, np.abs(a - b)), nan=np.inf, posinf=np.inf).max())
+    t, s, t0, x = _columns(probes)
 
-    shift = max((max(gap((t + t0, s + t0, x), (t, s, x)),
-                     state_distance(system.semiflow(t + t0, s + t0, x), system.semiflow(t, s, x)))
-                 for t, s, t0, x, _ in probes), default=0.0) if system.time_invariant else None
-    state = max((gap((t, s, x), (t, s, system.state_samples[0])) for t, s, _, x, _ in probes),
-                default=0.0) if system.state_independent else None
+    def gap(p, q):  # per probe, between log_diag at the points p and q; a nan matches nothing
+        a, b = (log_diags(system, *r) for r in (p, q))
+        return np.nan_to_num(np.where(a == b, 0.0, np.abs(a - b)), nan=np.inf, posinf=np.inf).max(axis=0)
+
+    shift = state = None
+    if system.time_invariant:
+        later = (t + t0, s + t0, x)
+        g, d = gap(later, (t, s, x)), _distance(evolve(system, *later).value, evolve(system, t, s, x).value)
+        shift = _sup(np.where(d > g, d, g))
+    if system.state_independent:
+        state = _sup(gap((t, s, x), (t, s, States.of(system.state_samples[:1] * len(probes)))))
     return shift, state

@@ -40,19 +40,14 @@ GALLERY_NAMES = tuple(DEFAULTS)
 # semiflow
 
 class TranslationSemiflow:
-    """phi(t, s, x) = x + (t - s), for either state kind.
+    """phi(t, s, x) = x + (t - s), for either state kind (x where t == s).
 
     On shift-parameter states this moves f_theta to f_{theta + (t-s)}; on
     abstract-real states it translates along the nonnegative half-line.
     """
 
-    def __call__(self, t, s, x):
-        if t == s:
-            return x
-        return StatePoint(x.kind, x.value + (t - s))
-
     def move(self, t, s, value, real):
-        """The array form: state values moved from s to t; abstract-real ones (``real``) must stay >= 0."""
+        """State values moved from s to t; abstract-real ones (``real``) must stay >= 0."""
         out = np.where(t == s, value, value + (t - s))
         if not (out[real] >= 0.0).all():
             raise InvalidParams("abstract-real states must be >= 0")
@@ -278,9 +273,12 @@ def _probe_vectors(dimension, norm):
 def _as_float(params, key):
     v = params[key]
     try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise InvalidParams(f"parameter {key} must be a number, got {v!r}")
+        f = float(v)
+    except (TypeError, ValueError, OverflowError):
+        f = math.nan
+    if not math.isfinite(f):
+        raise InvalidParams(f"parameter {key} must be a finite number, got {v!r}")
+    return f
 
 
 def _system(name, cocycle, states, ground_truth, horizons=Horizons(), dimension=1, norm="L1", **declared):
@@ -419,7 +417,7 @@ def build_custom(spec: dict) -> System:
 
     Spec keys: ``entries`` (list of term lists; see DeclarativeCocycle),
     optional ``scales`` (finite and positive), ``norm``, ``name``, ``s_max``,
-    ``lag_max``, ``tail_cap``, ``ground_truth``.
+    ``lag_max``, ``tail_cap`` (finite, >= 0), ``ground_truth``.
     """
     entries = spec.get("entries")
     if not (entries and isinstance(entries, list) and all(isinstance(terms, list) for terms in entries)):
@@ -435,6 +433,9 @@ def build_custom(spec: dict) -> System:
             c = term["coef"]  # a JSON integer may lie beyond the float range
             if isinstance(c, bool) or not (isinstance(c, (int, float)) and abs(c) <= sys.float_info.max):
                 raise InvalidParams(f"'coef' must be a finite number, got {c!r}")
+    horizons = {k: _as_float(spec, k) for k in ("s_max", "lag_max", "tail_cap") if k in spec}
+    if any(h < 0.0 for h in horizons.values()):
+        raise InvalidParams(f"custom horizons must be >= 0, got {horizons}")
     scales = spec.get("scales")
     if scales is not None:
         if not isinstance(scales, (list, tuple)) or len(scales) != len(entries):
@@ -446,7 +447,7 @@ def build_custom(spec: dict) -> System:
         DeclarativeCocycle(entries, scales),
         _real_states((0.0, 1.0, 2.5)),
         spec.get("ground_truth"),
-        Horizons(**{k: _as_float(spec, k) for k in ("s_max", "lag_max", "tail_cap") if k in spec}),
+        Horizons(**horizons),
         dimension=len(entries),
         norm=spec.get("norm", "L1"),
         time_invariant=all(term["kind"] == "linear" for terms in entries for term in terms),

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import settings
 
 from skewflow import RunConfig, gallery
-from skewflow.core import System, cocycle_matrix, combine_logs, log_abs, log_norms
-from skewflow.errors import NonFinite
+from skewflow.core import _LOG_MAX, StatePoint, System, combine_logs, log_abs, log_norms
+from skewflow.errors import InvalidParams, NonFinite, TimeOrderViolation
 from skewflow.nonuniform import run_nonuniform_panel
 from skewflow.probes import ratio_data
 from skewflow.quadrature import EVAL_CAP, IntegralResult, series, simpson, tails
@@ -87,6 +87,30 @@ def exponential_system(rate: float = -1.0, lag_max: float = 1024.0) -> System:
         "entries": [[{"kind": "linear", "coef": float(rate)}]],
         "lag_max": lag_max,
     })
+
+
+def translate(t: float, s: float, x: StatePoint) -> StatePoint:
+    """The translation semiflow of every gallery and custom system on one point: x + (t - s), and x where t == s."""
+    return x if t == s else StatePoint(x.kind, x.value + (t - s))
+
+
+def cocycle_matrix(system: System, t: float, s: float, x: StatePoint) -> np.ndarray:
+    """Dense matrix value of the cocycle at (t, s, x), from its scalar log_diag: math.exp per entry, inf beyond float range."""
+    if not (t >= s >= 0.0):
+        raise TimeOrderViolation(f"need t >= s >= 0, got t={t}, s={s}")
+    g = np.asarray(system.cocycle.log_diag(t, s, x), dtype=float).tolist()
+    return np.diag([math.inf if v > _LOG_MAX else math.exp(v) for v in g])
+
+
+def apply_cocycle(system: System, t: float, s: float, x: StatePoint, v) -> np.ndarray:
+    """Apply Phi(t, s, x) to a vector by its dense matrix; NonFinite when the value overflows."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (system.dimension,):
+        raise InvalidParams(f"vector has shape {v.shape}, expected ({system.dimension},)")
+    out = cocycle_matrix(system, t, s, x) @ v
+    if not np.all(np.isfinite(out)):
+        raise NonFinite(f"cocycle value overflowed at (t={t}, s={s})")
+    return out
 
 
 def apply_adjoint(system: System, t: float, s: float, x, vstar) -> np.ndarray:

@@ -9,19 +9,14 @@ import math
 import pytest
 
 from skewflow.cli import check_ground_truth, main
-from skewflow.core import (
-    SHIFT_PARAMETER,
-    StatePoint,
-    apply_cocycle,
-    check_cocycle_law,
-    check_semiflow_law,
-    cocycle_matrix,
-)
+from skewflow.core import SHIFT_PARAMETER, StatePoint, check_cocycle_law, check_semiflow_law
 from skewflow.gauges import make_gauge
 from skewflow.probes import law_probes, ratio_data
 from skewflow.reports import FAIL, PASS
 
 from conftest import (
+    apply_cocycle,
+    cocycle_matrix,
     exponential_system,
     integrate_finite,
     integrate_tail,

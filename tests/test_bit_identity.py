@@ -21,10 +21,25 @@ from hypothesis import strategies as st
 
 from skewflow import gallery, nonuniform, uniform
 from skewflow.cli import main
-from skewflow.core import ABSTRACT_REAL, SHIFT_PARAMETER, StatePoint, apply, combine_logs
-from skewflow.errors import BudgetExceeded, NonFinite
+from skewflow.core import (
+    ABSTRACT_REAL,
+    NORMS,
+    SHIFT_PARAMETER,
+    LawReport,
+    StatePoint,
+    apply,
+    check_cocycle_law,
+    check_declarations,
+    check_semiflow_law,
+    combine_logs,
+    vec_norm,
+)
+from skewflow.errors import BudgetExceeded, NonFinite, TimeOrderViolation
 from skewflow.gauges import Gauge, make_gauge
+from skewflow.probes import law_probes
 from skewflow.quadrature import IntegralResult, series, simpson, tails
+
+from conftest import apply_cocycle, translate
 
 
 def bits(values):
@@ -110,12 +125,10 @@ def test_declarative_cocycle_every_kind_with_scales(entries, data):
        st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_translation_semiflow_moves_arrays(triples, real):
-    flow = gallery.TranslationSemiflow()
-    kind = ABSTRACT_REAL if real else SHIFT_PARAMETER
     triples = [(max(a, b), min(a, b), abs(v) if real else v) for a, b, v in triples]
     t, s, v = (np.array(c) for c in zip(*triples))
-    got = flow.move(t, s, v, np.full(v.size, real))
-    assert bits(got) == bits([flow(ti, si, StatePoint(kind, vi)).value for ti, si, vi in triples])
+    got = gallery.TranslationSemiflow().move(t, s, v, np.full(v.size, real))
+    assert bits(got) == bits([vi if ti == si else vi + (ti - si) for ti, si, vi in triples])
 
 
 _DENSE = [
@@ -142,6 +155,137 @@ def test_cocycles_on_a_dense_sample(cocycle):
     got = cocycle.log_diag_array(t, s, theta)
     want = [cocycle.log_diag(a, b, StatePoint(kind, c)) for a, b, c in zip(t.tolist(), s.tolist(), theta.tolist())]
     assert bits(got.T) == bits(want)
+
+
+# ---------------------------------------------------------------------------
+# the flow-law checks against the probe loops they replaced
+
+def _ordered_pair(t, s):
+    if not (t >= s >= 0.0):
+        raise TimeOrderViolation(f"need t >= s >= 0, got t={t}, s={s}")
+
+
+def _state_distance(a, b):
+    return 0.0 if math.isinf(a.value) and math.isinf(b.value) else abs(a.value - b.value)
+
+
+def reference_semiflow_law(system, probes):
+    comp = ident = 0.0
+    for t, s, t0, x, _ in probes:
+        _ordered_pair(t, s)
+        _ordered_pair(s, t0)
+        comp = max(comp, _state_distance(translate(t, s, translate(s, t0, x)), translate(t, t0, x)))
+        ident = max(ident, _state_distance(translate(t, t, x), x))
+    return LawReport(comp, ident, len(probes))
+
+
+def reference_cocycle_law(system, probes):
+    comp = ident = 0.0
+    for t, s, t0, x, v in probes:
+        _ordered_pair(t, s)
+        _ordered_pair(s, t0)
+        step = apply_cocycle(system, s, t0, x, v)
+        lhs = apply_cocycle(system, t, s, translate(s, t0, x), step)
+        rhs = apply_cocycle(system, t, t0, x, v)
+        denom = max(1.0, vec_norm(rhs, system.norm_choice))
+        comp = max(comp, vec_norm(lhs - rhs, system.norm_choice) / denom)
+        same = apply_cocycle(system, t, t, x, v)
+        ident = max(ident, vec_norm(same - np.asarray(v, dtype=float), system.norm_choice))
+    return LawReport(comp, ident, len(probes))
+
+
+def reference_declarations(system, probes):
+    def gap(p, q):
+        a, b = (np.asarray(system.cocycle.log_diag(*r), dtype=float) for r in (p, q))
+        return float(np.nan_to_num(np.where(a == b, 0.0, np.abs(a - b)), nan=np.inf, posinf=np.inf).max())
+
+    shift = max((max(gap((t + t0, s + t0, x), (t, s, x)),
+                     _state_distance(translate(t + t0, s + t0, x), translate(t, s, x)))
+                 for t, s, t0, x, _ in probes), default=0.0) if system.time_invariant else None
+    state = max((gap((t, s, x), (t, s, system.state_samples[0])) for t, s, _, x, _ in probes),
+                default=0.0) if system.state_independent else None
+    return shift, state
+
+
+def law_outcomes(checks, system, probes):
+    """Each check's result as bits, in the order given (axioms' order), up to the first error's text."""
+    out = []
+    for check in checks:
+        try:
+            with np.errstate(all="ignore"):
+                r = check(system, probes)
+        except Exception as exc:
+            return out + [f"{type(exc).__name__}: {exc}"]
+        values = dataclasses.astuple(r) if isinstance(r, LawReport) else r
+        out.append([v if v is None or isinstance(v, int) else struct.pack("d", v) for v in values])
+    return out
+
+
+def assert_laws_match(system, probes):
+    ordered = all(t >= s >= t0 >= 0.0 for t, s, t0, _, _ in probes)
+    batch = [check_semiflow_law, check_cocycle_law, check_declarations]
+    reference = [reference_semiflow_law, reference_cocycle_law, reference_declarations]
+    assert law_outcomes(batch, system, probes) == law_outcomes(reference, system, probes)
+    if ordered:  # the declarations on their own, also where the cocycle law overflowed
+        assert law_outcomes(batch[2:], system, probes) == law_outcomes(reference[2:], system, probes)
+
+
+_LAW_TIMES = st.one_of(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+                       st.sampled_from([0.0, 1.0, 2.0, 700.0, 1e3, 1e308, 1.7976931348623157e308]))
+_BAD_TIMES = st.one_of(_LAW_TIMES, st.sampled_from([-1.0, -0.0, math.nan]))
+
+
+@st.composite
+def law_probes_for(draw, system):
+    """Seeded law probes of the system, then injected ones: ordered, or (rarely) as drawn, nan and negatives too."""
+    probes = law_probes(system, draw(st.integers(0, 40)), draw(st.integers(0, 2**32)))
+    for _ in range(draw(st.integers(0, 6))):
+        times = draw(st.tuples(_BAD_TIMES, _BAD_TIMES, _BAD_TIMES) if draw(st.integers(0, 19)) == 0 else
+                     st.tuples(_LAW_TIMES, _LAW_TIMES, _LAW_TIMES).map(lambda c: sorted(c, reverse=True)))
+        probes.insert(draw(st.integers(0, len(probes))), (*times, draw(st.sampled_from(system.state_samples)),
+                                                          draw(st.sampled_from(system.vector_samples))))
+    return probes
+
+
+@pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_law_checks_match_the_probe_loops_on_the_gallery(name, data):
+    system = gallery.build(name)
+    assert_laws_match(system, data.draw(law_probes_for(system)))
+
+
+_LAW_COEFS = st.one_of(st.floats(min_value=-5.0, max_value=5.0), st.floats(min_value=-1e308, max_value=1e308),
+                       st.sampled_from([0.0, -0.0, 1000.0, -1000.0, 1e308, -1e308]), st.integers(-3, 3))
+_LAW_TERM = st.fixed_dictionaries({"kind": st.sampled_from(gallery.DeclarativeCocycle.KINDS), "coef": _LAW_COEFS})
+
+
+@given(st.lists(st.lists(_LAW_TERM, max_size=3), min_size=1, max_size=3), st.sampled_from(NORMS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_law_checks_match_the_probe_loops_on_custom_systems(entries, norm, data):
+    scales = data.draw(st.one_of(st.none(), st.lists(st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                                                               st.sampled_from([1.0, 1.5, 1e300])),
+                                                     min_size=len(entries), max_size=len(entries))))
+    spec = {"entries": entries, "norm": norm, "lag_max": data.draw(st.sampled_from([0.0, 6.0, 1024.0]))}
+    system = gallery.build_custom(spec if scales is None else {**spec, "scales": scales})
+    assert_laws_match(system, data.draw(law_probes_for(system)))
+
+
+def test_law_checks_name_the_first_pair_out_of_order():
+    # probe by probe, (t, s) before (s, t0): a later probe's bad (t, s) does not come first
+    system = gallery.build("scalar_decay")
+    x, v = system.state_samples[0], system.vector_samples[0]
+    probes = [(3.0, 2.0, 1.0, x, v), (5.0, 4.0, 4.5, x, v), (1.0, 2.0, 0.0, x, v)]
+    checks = [check_semiflow_law, check_cocycle_law, check_declarations]
+    want = ["TimeOrderViolation: need t >= s >= 0, got t=4.0, s=4.5"]
+    assert law_outcomes(checks, system, probes) == want
+    assert law_outcomes([reference_semiflow_law], system, probes) == want
+
+
+def test_law_checks_on_no_probes():
+    system = gallery.build("diag3")
+    assert law_outcomes([check_semiflow_law, check_cocycle_law, check_declarations], system, []) == [
+        [struct.pack("d", 0.0)] * 2 + [0], [struct.pack("d", 0.0)] * 2 + [0], [struct.pack("d", 0.0), None]]
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,15 @@ class TestAxioms:
         assert code == 2
         assert "TimeOrderViolation" in json.loads(text)["error"]
 
+    @pytest.mark.parametrize("probes", [[[1.0, 0.5]], 5, [["a", 0, 0]], [[math.inf, 0, 0]], [[0, 0, math.nan]],
+                                        [[True, 0, 0]], [[10 ** 400, 0, 0]], [(1.0, 0.5, 0.0), 7], {"t": 1}])
+    def test_an_injected_probe_must_be_three_finite_numbers(self, tmp_path, probes):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "scalar_decay", "probes": probes}))
+        code, text = run_cli(["axioms", "--config", str(cfg)])
+        assert code == 2
+        assert json.loads(text)["error"].startswith("ConfigError: probes must be a list of [t, s, t0] rows")
+
     def test_broken_custom_system_fails_laws(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -105,6 +114,62 @@ class TestAxioms:
         validate(doc)
         assert code == 1
         assert not doc["laws"]["ok"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestAxiomsLeaveNoWarning:
+    """axioms once leaked RuntimeWarnings: inf * 0 in a dense matrix product, and inf - inf in a declaration check."""
+
+    def test_an_infinite_entry_times_a_zero_component(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_system": {"entries": [[{"kind": "linear", "coef": 1000}],
+                                                                 [{"kind": "linear", "coef": 0}]]}}))
+        code, text = run_cli(["axioms", "--seed", "3", "--config", str(cfg)])
+        assert code == 2
+        assert json.loads(text)["error"] == \
+            "NonFinite: cocycle value overflowed at (t=3.060475438439204, s=1.4277877625513482)"
+
+    def test_a_declaration_checked_beyond_float_range(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "diag3", "probes": [[1e308, 0, 0]]}))
+        code, text = run_cli(["axioms", "--config", str(cfg)])
+        doc = json.loads(text)
+        validate(doc)
+        assert code == 0 and doc["laws"]["ok"] and doc["laws"]["cocycle"]["probes"] == 201
+
+
+class TestNonFiniteValues:
+    """A configuration value that is not a finite number exits 2 before any work."""
+
+    @pytest.mark.parametrize("system, param", [
+        ("shift-metric-demo", "rate=nan"), ("scalar_decay", "mu=inf"), ("bounded_ratio", "c=inf"),
+        ("diag3", "l=inf"), ("diag3", "alpha1=inf"), ("diag3", "alpha3=-inf"), ("spike", "nodes=nan"),
+        ("spike", "nodes=inf"),
+    ])
+    def test_a_gallery_parameter(self, tmp_path, system, param):
+        name, value = param.split("=")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": system, "params": {name: float(value)}}))
+        for argv in (["classify", "--system", system, "--param", param],
+                     ["sweep", "--system", system, "--sweep", param],
+                     ["classify", "--config", str(cfg)]):
+            code, text = run_cli(argv)
+            doc = json.loads(text)
+            validate(doc)
+            assert code == 2, argv
+            assert doc["error"].startswith(f"InvalidParams: parameter {name} must be a finite number"), argv
+
+    @pytest.mark.parametrize("key, value", [("s_max", math.nan), ("s_max", -1.0), ("lag_max", math.nan),
+                                            ("lag_max", -1.0), ("tail_cap", math.nan), ("tail_cap", -0.5)])
+    def test_a_custom_horizon(self, tmp_path, key, value):
+        # lag_max = Infinity is left to tests/test_gallery.py: the unchecked lag grid never ends
+        doc = json.loads(CUSTOM.read_text())
+        doc["custom_system"][key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, text = run_cli(["classify", "--config", str(cfg)])
+        assert code == 2
+        assert json.loads(text)["error"].split(":", 1)[0] == "InvalidParams"
 
 
 class TestClassify:

@@ -1,9 +1,10 @@
-"""A fuzz of the CLI contract: ``classify`` over gallery and small custom systems, with varied run settings.
+"""A fuzz of the CLI contract: ``classify`` and ``axioms`` over gallery and small custom systems.
 
 Every call exits 0, 1, 2 or 3 and prints a document that validates against
 the report schema; an exit 2 names a ``SkewflowError`` subclass; and a tagged
 gallery system under the identity gauge never exits 3 when only ``--tmax``
-and ``--eval-cap`` vary.  The examples come from the derandomized ``ci``
+and ``--eval-cap`` vary.  ``axioms``, with seeds and injected probes, never
+exits 3 and never warns.  The examples come from the derandomized ``ci``
 profile, so each run draws the same calls.
 """
 
@@ -11,6 +12,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stdout
 from importlib import resources
 
@@ -43,18 +45,22 @@ GAUGE = st.sampled_from(["identity", "pow:2", "pow:0.5", "sat:1", "pow:1e6", "sa
 FUZZ = settings(settings.get_profile("ci"), max_examples=60, deadline=None)
 
 
-def classify(argv, custom=None) -> tuple:
-    """(exit code, stdout) of ``classify`` with argv, on a custom system's config file when one is given."""
+def run(command, argv, config=None) -> tuple:
+    """(exit code, stdout) of a command with argv, on a config file of ``config`` when one is given."""
     with tempfile.TemporaryDirectory() as tmp:
-        if custom is not None:
-            path = os.path.join(tmp, "custom.json")
+        if config is not None:
+            path = os.path.join(tmp, "config.json")
             with open(path, "w") as fh:
-                json.dump({"custom_system": custom}, fh)
+                json.dump(config, fh)
             argv = ["--config", path, *argv]
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = main(["classify", *argv])
+            code = main([command, *argv])
     return code, buf.getvalue()
+
+
+def classify(argv, custom=None) -> tuple:
+    return run("classify", argv, None if custom is None else {"custom_system": custom})
 
 
 def check_contract(code, text):
@@ -83,3 +89,30 @@ def test_a_short_horizon_or_budget_never_contradicts_a_tag(system, tmax, eval_ca
     code, text = classify(["--system", system, "--tmax", repr(tmax), "--eval-cap", str(eval_cap)])
     check_contract(code, text)
     assert code != 3, json.loads(text)["contradictions"]
+
+
+@st.composite
+def scaled(draw, spec):
+    """A custom spec, with one scale per entry half of the time."""
+    spec = draw(spec)
+    if draw(st.booleans()):
+        n = len(spec["entries"])
+        spec["scales"] = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 1e300]), min_size=n, max_size=n))
+    return spec
+
+
+TIMES = st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 1.0, 1e3, 1e308]))
+ROW = st.lists(TIMES, min_size=3, max_size=3)
+
+
+@settings(FUZZ, max_examples=100)
+@given(system=st.one_of(st.sampled_from(GALLERY_NAMES).map(lambda name: {"system": name}),
+                        scaled(CUSTOM).map(lambda spec: {"custom_system": spec})),
+       seed=st.integers(0, 1000),
+       probes=st.lists(st.one_of(ROW.map(lambda r: sorted(r, reverse=True)), ROW), max_size=3))
+def test_axioms_keeps_the_cli_contract_and_never_warns(system, seed, probes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a warning then ends the call with exit 2, naming it
+        code, text = run("axioms", ["--seed", str(seed)], {**system, "probes": probes})
+    check_contract(code, text)
+    assert code != 3

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from skewflow.core import (
     ABSTRACT_REAL,
     SHIFT_PARAMETER,
+    States,
     StatePoint,
-    apply_cocycle,
     check_cocycle_law,
     check_semiflow_law,
-    cocycle_matrix,
     dual_norm,
+    evolve,
     vec_norm,
 )
 from skewflow.errors import InvalidParams, NonFinite, TimeOrderViolation
@@ -26,6 +26,8 @@ from skewflow.probes import law_probes
 
 from conftest import (
     apply_adjoint,
+    apply_cocycle,
+    cocycle_matrix,
     exponential_system,
     log_combiner,
     log_norm_path,
@@ -60,8 +62,8 @@ class TestApplyCocycle:
 
     def test_time_order_enforced(self, systems):
         s = systems["scalar_decay"]
-        with pytest.raises(TimeOrderViolation):
-            apply_cocycle(s, 1.0, 2.0, s.state_samples[0], (1.0,))
+        with pytest.raises(TimeOrderViolation, match=r"got t=1\.0, s=2\.0"):
+            check_cocycle_law(s, [(1.0, 2.0, 0.0, s.state_samples[0], (1.0,))])
 
     def test_log_norm_path_checks_time_order_on_every_call(self, systems):
         s = systems["diag3"]
@@ -73,8 +75,8 @@ class TestApplyCocycle:
 
     def test_overflow_is_nonfinite(self):
         grow = exponential_system(8.0)
-        with pytest.raises(NonFinite):
-            apply_cocycle(grow, 100.0, 0.0, grow.state_samples[0], (1.0,))
+        with pytest.raises(NonFinite, match=r"at \(t=100\.0, s=0\.0\)"):
+            check_cocycle_law(grow, [(100.0, 100.0, 0.0, grow.state_samples[0], (1.0,))])
 
 
 class TestLaws:
@@ -90,10 +92,10 @@ class TestLaws:
 
     def test_translation_semiflow_example(self, systems):
         s = systems["bounded_ratio"]
-        mid = s.semiflow(2.0, 1.0, state(5.0))
-        out = s.semiflow(3.0, 2.0, mid)
-        assert out.value == 7.0
-        assert s.semiflow(3.0, 1.0, state(5.0)).value == 7.0
+        x = States.of([state(5.0)])
+        mid = evolve(s, np.array([2.0]), np.array([1.0]), x)
+        assert evolve(s, np.array([3.0]), np.array([2.0]), mid).value.tolist() == [7.0]
+        assert evolve(s, np.array([3.0]), np.array([1.0]), x).value.tolist() == [7.0]
 
     def test_time_order_in_probes(self, systems):
         s = systems["scalar_decay"]

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from skewflow import gallery
-from skewflow.core import SHIFT_PARAMETER, StatePoint, apply_cocycle
+from skewflow.core import SHIFT_PARAMETER, StatePoint
 from skewflow.errors import InvalidParams
 
-from conftest import integrate_finite, operator_norm
+from conftest import apply_cocycle, integrate_finite, operator_norm
 
 
 def test_gallery_names_and_tags(systems):
@@ -108,6 +108,22 @@ def test_invalid_params():
         gallery.build("spike", {"nodes": 0})
     with pytest.raises(InvalidParams):
         gallery.build("no-such-system")
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, params in gallery.DEFAULTS.items() for key in params])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan", "-inf", 10 ** 400])
+def test_a_parameter_must_be_a_finite_number(name, key, value):
+    with pytest.raises(InvalidParams, match=f"parameter {key} must be a finite number"):
+        gallery.build(name, {key: value})
+
+
+@pytest.mark.parametrize("key", ["s_max", "lag_max", "tail_cap"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, -math.inf, "x", None])
+def test_a_custom_horizon_must_be_a_finite_number_at_least_0(key, value):
+    # built here, not classified: at lag_max = inf the lag grid would never end
+    with pytest.raises(InvalidParams):
+        gallery.build_custom({"entries": [[{"kind": "linear", "coef": -1.0}]], key: value})
+    assert getattr(gallery.build_custom({"entries": [[{"kind": "linear", "coef": -1.0}]], key: 0}).horizons, key) == 0.0
 
 
 def test_diag3_tagging_by_sign_pattern():

@@ -38,6 +38,7 @@ from conftest import (
     log_vector_norm,
     operator_norm,
     shift_cocycle,
+    translate,
     uniform_fit,
 )
 
@@ -253,7 +254,7 @@ class TestBarbashin:
         s = systems["scalar_decay"]
         direct = max(
             sum(
-                operator_norm(s, float(n), float(k), s.semiflow(float(k), float(n0), x))
+                operator_norm(s, float(n), float(k), translate(float(k), float(n0), x))
                 for k in range(n0, n + 1)
             )
             for n, n0 in discrete_pairs(s)
@@ -803,7 +804,7 @@ class TestIntegrandsMatchTheWrappers:
         values = uniform.backward_integrals(s, time, IDENTITY, config, alpha, operator)
         for t, t0, x, vstar, value in itertools.islice(values, 12):
             def f(u):
-                y = s.semiflow(u, float(t0), x)
+                y = translate(u, float(t0), x)
                 ln = (log_operator_norm(s, t, u, y) if vstar is None
                       else log_adjoint_dual_norm(s, t, u, y, vstar))
                 return math.exp(alpha * (t - u) + ln)
